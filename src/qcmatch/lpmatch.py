@@ -13,6 +13,15 @@ vertex the most violated subset is a prefix of the incident edges sorted by
 product of ``(1-p)`` over the set, so the optimum is a threshold set.  The
 prefix scan is O(deg log deg) per vertex; completeness versus exhaustive
 enumeration is covered by tests on small degrees.
+
+Each vertex's family is a polymatroid (the right-hand side is monotone
+submodular), so a linear objective with distinct weights is maximized over
+it by Edmonds' greedy chain: the prefixes of the incident edges sorted by
+weight.  The solver seeds those chains as its first rows.  Equal weights
+make the optimal face degenerate, and HiGHS then wanders between its
+vertices while separation adds rows for each; a tiny scale ``TIE_ETA``
+breaks the ties in the seeded order instead, and one solve with the true
+weights certifies that the tie-broken optimum is optimal.
 """
 
 from __future__ import annotations
@@ -27,6 +36,9 @@ from .instance import StochasticGraph
 
 #: feasibility tolerance used throughout
 EPS = 1e-9
+
+#: relative step of the tie-breaking scale among edges of equal weight
+TIE_ETA = 1e-6
 
 #: exhaustive subset enumeration refuses degrees above this
 EXHAUSTIVE_DEGREE_CAP = 20
@@ -176,12 +188,20 @@ def check_feasibility(graph: StochasticGraph, x, mode: str = "exhaustive") -> Fe
 def solve_lp_match(graph: StochasticGraph, eps: float = EPS) -> FractionalSolution:
     """Cutting-plane solve of the relaxation.
 
-    Starts with the full incident set per vertex (singleton constraints are
-    the variable bounds ``0 <= x_e <= p_e``), solves the restricted LP with
-    HiGHS, adds violated prefixes from ``separate`` and repeats.  Each
-    distinct (vertex, set) row is added at most once, so the loop
-    terminates.  The result is verified exhaustively on every vertex of
-    degree <= 20 (prefix scan above that).
+    Starts with every vertex's greedy chain: with the edges ordered by
+    ``(-w, id)``, each prefix of length 2..deg of the vertex's incident
+    edges is a row (singleton constraints are the variable bounds
+    ``0 <= x_e <= p_e``).  Equal weights are tie-broken by scaling the
+    k-th edge (k = 0, 1, ...) of each group of equal ``w`` by
+    ``1 - TIE_ETA * k / m``.  The cut loop solves the restricted LP with
+    HiGHS, adds the violated prefixes from ``separate`` and repeats until
+    nothing is added; each distinct (vertex, set) row is added at most
+    once, and its right-hand side is computed when it is added, so the
+    loop terminates.  If a weight was scaled, one more solve with the true
+    ``w`` over the rows so far bounds the optimum from above; ``x`` is kept
+    if it is within ``eps * max(1, bound)`` of that bound, and otherwise
+    the cut loop continues with the true ``w``.  The result is verified
+    exhaustively on every vertex of degree <= 20 (prefix scan above that).
     """
     m = len(graph.edges)
     if m == 0:
@@ -191,33 +211,60 @@ def solve_lp_match(graph: StochasticGraph, eps: float = EPS) -> FractionalSoluti
 
     rows: list[tuple[VertexKey, frozenset[int]]] = []
     seen: set[tuple[VertexKey, frozenset[int]]] = set()
-    for key, incident in _vertices(graph):
-        if len(incident) >= 2:
-            row = (key, frozenset(incident))
-            rows.append(row)
-            seen.add(row)
+    a_ub = np.zeros((0, m))
+    b_ub: list[float] = []
 
-    while True:
-        a_ub = b_ub = None
-        if rows:
-            a_ub = np.zeros((len(rows), m))
-            b_ub = np.zeros(len(rows))
-            for i, (_, ids) in enumerate(rows):
-                for e in ids:
-                    a_ub[i, e] = 1.0
-                b_ub[i] = constraint_rhs(graph, ids)
+    def add_rows(new):
+        nonlocal a_ub
+        block = np.zeros((len(new), m))
+        for i, row in enumerate(new):
+            block[i, list(row[1])] = 1.0
+            b_ub.append(constraint_rhs(graph, row[1]))
+        rows.extend(new)
+        seen.update(new)
+        a_ub = np.vstack((a_ub, block))
+
+    def solve(cost):
         res = linprog(
-            -w, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS_OPTS
+            -cost,
+            A_ub=a_ub if rows else None,
+            b_ub=np.array(b_ub) if rows else None,
+            bounds=bounds,
+            method="highs",
+            options=_HIGHS_OPTS,
         )
         if not res.success:
             raise LpSolveError(f"restricted LP failed: {res.message}")
-        x = np.clip(res.x, 0.0, None)
-        new = [row for row in separate(graph, x, eps) if row not in seen]
-        if not new:
-            break
-        rows.extend(new)
-        seen.update(new)
+        return np.clip(res.x, 0.0, None)
 
+    def cut_loop(cost):
+        while True:
+            x = solve(cost)
+            new = [row for row in separate(graph, x, eps) if row not in seen]
+            if not new:
+                return x
+            add_rows(new)
+
+    order = sorted(range(m), key=lambda e: (-w[e], e))
+    rank = {e: r for r, e in enumerate(order)}
+    seeds = []
+    for key, incident in _vertices(graph):
+        chain = sorted(incident, key=rank.__getitem__)
+        seeds.extend((key, frozenset(chain[:k])) for k in range(2, len(chain) + 1))
+    add_rows(seeds)
+
+    w_tie = w.copy()
+    k = 0
+    for prev, e in zip(order, order[1:]):
+        k = k + 1 if w[prev] == w[e] else 0
+        w_tie[e] = w[e] * (1.0 - TIE_ETA * k / m)
+
+    x = cut_loop(w_tie)
+    if np.any(w_tie != w):
+        # the restricted LP relaxes the full one: its optimum bounds LP*
+        bound = float(np.dot(solve(w), w))
+        if bound - float(np.dot(x, w)) > eps * max(1.0, bound):
+            x = cut_loop(w)
     xs = tuple(float(v) for v in x)
     for key, incident in _vertices(graph):
         if not incident:

@@ -173,6 +173,10 @@ def _count_orig_matches(comp: _Compiled, win: np.ndarray, n_orig: int) -> np.nda
     return np.bincount(ovals, minlength=n_orig)
 
 
+#: bits of the surviving-edge mask that keys second-round compiles
+_MASK_BITS = 64
+
+
 class _ApxContext:
     """Shared compiled state for the two-branch algorithm; second-round
     instances are compiled lazily per surviving-edge mask."""
@@ -188,6 +192,11 @@ class _ApxContext:
         self.lp_mass = lp_mass
         m = len(graph.edges)
         if self.two_round:
+            if m > _MASK_BITS:
+                raise ValueError(
+                    f"two-round apx packs surviving edges into a {_MASK_BITS}-bit mask; "
+                    f"{m} edges exceed the {_MASK_BITS}-edge limit"
+                )
             self.round1 = _compile_arrays(graph, x, 1.0, range(m), self.cache)
         else:
             heavy = sorted(set(range(m)) - set(light))

@@ -104,7 +104,7 @@ def build_proportional_distribution(
     support_edges = [e for e in incident if targets[e] > 1e-15]
     if len(support_edges) > DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"support size {len(support_edges)} exceeds cap {DEGREE_CAP}"
+            f"A-vertex {vertex}: LP support {len(support_edges)} exceeds cap {DEGREE_CAP}"
         )
     if not support_edges:
         return PermDistribution(vertex=vertex, support=(((), 1.0),), targets=targets)

@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from qcmatch import lpmatch
 from qcmatch.instance import make_graph
 from qcmatch.lpmatch import (
     EPS,
@@ -157,3 +160,104 @@ def test_random_feasible_x_helper_is_feasible():
         assert check_feasibility(g, x, "exhaustive").feasible
         for u in range(g.b_count):
             assert sum(x[e] for e in g.edges_at_b[u]) <= 0.5 + 1e-12
+
+
+def _union_prob(ps) -> float:
+    return 1.0 - math.prod(1.0 - p for p in ps)
+
+
+def _greedy_closed_form(ws, ps) -> float:
+    """Edmonds' greedy value of one polymatroid: sum_k w_(k) (f(S_k) - f(S_{k-1}))
+    with f(S) = 1 - prod_{S} (1 - p), edges taken by descending weight."""
+    order = sorted(range(len(ws)), key=lambda e: -ws[e])
+    total, prev = 0.0, 0.0
+    for k in range(1, len(order) + 1):
+        f = _union_prob([ps[e] for e in order[:k]])
+        total += ws[order[k - 1]] * (f - prev)
+        prev = f
+    return total
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize("deg", range(2, 17))
+def test_star_objective_matches_greedy_closed_form(deg, unit):
+    rng = np.random.default_rng(900 + deg)
+    ws = [1.0] * deg if unit else [float(v) for v in rng.uniform(0.1, 2.0, deg)]
+    ps = [float(v) for v in rng.uniform(0.05, 1.0, deg)]
+    g = make_graph(deg, 1, [(a, 0, ws[a], ps[a]) for a in range(deg)])
+    sol = solve_lp_match(g)
+    assert sol.objective == pytest.approx(_greedy_closed_form(ws, ps), abs=1e-9)
+
+
+def _tied_instance(rng, weights):
+    """Random bipartite graph, degree <= 6, weights drawn from ``weights``."""
+    while True:
+        na, nb = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        deg_a, deg_b = [0] * na, [0] * nb
+        triples = []
+        for a in range(na):
+            for b in range(nb):
+                if rng.random() < 0.6 and deg_a[a] < 6 and deg_b[b] < 6:
+                    deg_a[a] += 1
+                    deg_b[b] += 1
+                    w = float(weights[int(rng.integers(len(weights)))])
+                    triples.append((a, b, w, float(rng.uniform(0.1, 1.0))))
+        if triples:
+            return make_graph(na, nb, triples)
+
+
+def _explicit_lp_objective(g) -> float:
+    """One LP over every subset row at every vertex, built independently."""
+    m = len(g.edges)
+    groups = [[e.id for e in g.edges if e.a == a] for a in range(g.a_count)]
+    groups += [[e.id for e in g.edges if e.b == b] for b in range(g.b_count)]
+    rows, rhs = [], []
+    for incident in groups:
+        for r in range(2, len(incident) + 1):
+            for ids in itertools.combinations(incident, r):
+                row = np.zeros(m)
+                row[list(ids)] = 1.0
+                rows.append(row)
+                rhs.append(_union_prob([g.edges[e].p for e in ids]))
+    res = linprog(
+        -np.array([e.w for e in g.edges]),
+        A_ub=np.array(rows) if rows else None,
+        b_ub=np.array(rhs) if rows else None,
+        bounds=[(0.0, e.p) for e in g.edges],
+        method="highs",
+    )
+    assert res.success
+    return -res.fun
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0)], ids=["unit", "one-two"])
+def test_tied_weights_objective_matches_explicit_lp(weights):
+    rng = np.random.default_rng(77)
+    for _ in range(25):
+        g = _tied_instance(rng, weights)
+        sol = solve_lp_match(g)
+        assert sol.objective == pytest.approx(_explicit_lp_objective(g), abs=1e-9)
+        assert check_feasibility(g, sol.x, "exhaustive").feasible
+
+
+def test_certificate_recovers_from_a_coarse_tie_break(monkeypatch):
+    # a scale this coarse reorders weights across groups, so the tie-broken
+    # optimum is often not optimal; the true-objective certificate must see
+    # the gap and finish the cut loop on the true weights
+    monkeypatch.setattr(lpmatch, "TIE_ETA", 0.9)
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        g = _tied_instance(rng, (1.0, 1.5, 2.0))
+        sol = solve_lp_match(g)
+        assert sol.objective == pytest.approx(_explicit_lp_objective(g), abs=1e-9)
+
+
+def test_unit_star_needs_no_cut_storm():
+    # the seeded greedy chain at the centre already holds the optimum, so
+    # at most one row beyond the 13 seeded prefixes may be added
+    deg = 14
+    rng = np.random.default_rng(14)
+    g = make_graph(deg, 1, [(a, 0, 1.0, float(rng.uniform(0.05, 0.5))) for a in range(deg)])
+    sol = solve_lp_match(g)
+    assert len(sol.generated_constraints) <= deg
+    assert check_feasibility(g, sol.x, "exhaustive").feasible

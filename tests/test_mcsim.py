@@ -114,3 +114,12 @@ def test_batch_edge_frequencies_are_python_floats(algorithm):
     res = mcsim.run_batch(g, x, algorithm, TransformParams(), 5000, 13)
     assert len(res.edge_match_freq) == len(g.edges)
     assert all(type(f) is float for f in res.edge_match_freq)
+
+
+def test_apx_two_round_refuses_more_than_64_edges():
+    # surviving edges are packed into a uint64; edges past 63 would lose
+    # their second round, so the run must fail instead of returning a
+    # wrong mean
+    g = make_graph(70, 70, [(i, i, 1.0, 1.0) for i in range(70)])
+    with pytest.raises(ValueError, match="64"):
+        mcsim.run_batch(g, [1.0] * 70, "apx", TransformParams(), 200, 3)

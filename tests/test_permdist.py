@@ -66,6 +66,15 @@ def test_degree_cap():
         build_proportional_distribution(g, 0, [1.0 / deg] * deg)
 
 
+def test_degree_cap_error_names_the_vertex():
+    deg = DEGREE_CAP + 1
+    g = make_graph(3, deg, [(2, b, 1.0, 1.0) for b in range(deg)])
+    with pytest.raises(
+        DegreeCapExceeded, match=f"A-vertex 2: LP support {deg} exceeds cap {DEGREE_CAP}"
+    ):
+        build_proportional_distribution(g, 2, [1.0 / deg] * deg)
+
+
 def test_infeasible_targets_witness():
     g = make_graph(1, 2, [(0, 0, 1.0, 0.5), (0, 1, 1.0, 0.5)])
     with pytest.raises(InfeasibleTargets) as err:
