@@ -8,9 +8,8 @@ Library layout:
 * ``permdist``  -- proportional permutation distributions and the filtered
                    sampler
 * ``engine``    -- the query-commit state machine and rounding algorithms
-* ``oracle``    -- exact offline optimum, exact event probabilities,
-                   Monte Carlo estimation
-* ``mcsim``     -- vectorized batch trial runner
+* ``oracle``    -- exact offline optimum and exact event probabilities
+* ``mcsim``     -- vectorized batch trial runner (Monte Carlo estimates)
 * ``verify``    -- numeric certification of the analytic claims
 * ``cli``       -- ``qcmatch`` command-line entry point
 """

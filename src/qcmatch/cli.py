@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-_EVENT_CHOICES = ("lemma5", "fact3", "lemma6", "lemma7", "lemma8", "lemma9", "all")
+_EVENT_CHOICES = ("lemma7", "lemma8", "all")
 
 
 def cmd_oracle(args) -> int:

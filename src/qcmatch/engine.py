@@ -12,21 +12,23 @@ flip.  All four algorithms live here:
                            padding B-side degrees with dummy edges,
 * ``apx_matching``      -- two-branch wrapper: either two passes of
                            ``base_matching`` (second pass on edges left
-                           available) or one pass on the heavy subgraph
-                           with a reduced degree cap.
+                           available) or one pass on the heavy edges with a
+                           reduced degree cap, as ``apx_plan`` decides.
 
-Dummy edges may block endpoints but never appear in reported matchings,
-weights, or logs.
+Every round is one rounding of the LP vector masked to the round's edges
+over the whole graph, so edge ids never change; dummy edges are appended
+and may block endpoints but never appear in reported matchings, weights,
+or logs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .instance import Edge, RealizationState, StochasticGraph, sample_realization
+from .instance import RealizationState, StochasticGraph, sample_realization
 from .lpmatch import EPS
 from .permdist import PermDistribution, build_proportional_distribution, draw_modified_perm
 from .transform import TransformParams, add_dummy_edges, g_transform, heavy_degree_bound
@@ -61,17 +63,6 @@ class RunResult:
     matched_a: frozenset[int]
     matched_b: frozenset[int]
     branch: str | None = None
-
-
-@dataclass(frozen=True)
-class AlgorithmConfig:
-    algorithm: str
-    params: TransformParams = TransformParams()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +111,8 @@ def greedy_matching(
 
 class DistributionCache:
     """Memo for proportional distributions keyed by (vertex, incident edge
-    subset); supports are stored in original edge ids so every round of
-    every trial on the same (graph, x) can reuse them."""
+    subset), so every round of every trial on the same (graph, x) can reuse
+    them."""
 
     def __init__(self, graph: StochasticGraph, x) -> None:
         self.graph = graph
@@ -132,39 +123,23 @@ class DistributionCache:
         key = (vertex, edge_ids)
         got = self._memo.get(key)
         if got is None:
-            sub, orig_of = _subgraph(self.graph, edge_ids)
-            local_x = [0.0] * len(edge_ids)
-            for i, orig in enumerate(orig_of):
-                local_x[i] = self.x[orig]
-            # vertex index is preserved by _subgraph
-            dist = build_proportional_distribution(sub, vertex, local_x)
-            got = tuple(
-                (tuple(orig_of[i] for i in perm), q) for perm, q in dist.support
-            )
+            x = [0.0] * len(self.x)
+            for e in edge_ids:
+                x[e] = self.x[e]
+            got = build_proportional_distribution(self.graph, vertex, x).support
             self._memo[key] = got
         return got
 
 
-def _subgraph(graph: StochasticGraph, edge_ids) -> tuple[StochasticGraph, tuple[int, ...]]:
-    """Same vertex sets, edges restricted to ``edge_ids`` (sorted);
-    returns the restriction and the new-to-original id map."""
-    ids = tuple(sorted(edge_ids))
-    edges = tuple(
-        Edge(id=i, a=graph.edges[e].a, b=graph.edges[e].b, w=graph.edges[e].w, p=graph.edges[e].p)
-        for i, e in enumerate(ids)
-    )
-    sub = StochasticGraph(a_count=graph.a_count, b_count=graph.b_count, edges=edges)
-    return sub, ids
-
-
 @dataclass
 class _Round:
-    """One compiled proposal round over an augmented, re-indexed graph."""
+    """One compiled proposal round: the whole graph with dummies appended
+    (original edge ids are the augmented prefix), and x zero outside the
+    round's edges."""
 
     aug: StochasticGraph
     x_aug: tuple[float, ...]
     xt_aug: tuple[float, ...]
-    orig_of: tuple[int | None, ...]  # per augmented edge: original id or None
     dists: dict[int, PermDistribution]
 
 
@@ -175,62 +150,59 @@ def _compile_round(
     edge_ids,
     cache: DistributionCache,
 ) -> _Round:
-    sub, orig_of_sub = _subgraph(graph, edge_ids)
-    x_sub = [float(x[e]) for e in orig_of_sub]
+    """The round's x is ``x`` on ``edge_ids`` and 0 elsewhere; unless
+    ``sigma`` is None (plain proposal rounding) it is padded to B degree
+    ``sigma`` with dummies and shrunk through the transform."""
+    x_round = [0.0] * len(graph.edges)
+    for e in edge_ids:
+        x_round[e] = float(x[e])
     if sigma is None:  # no padding, no shrink: plain proposal rounding
-        aug, x_aug = sub, tuple(x_sub)
+        aug, x_aug = graph, tuple(x_round)
         xt_aug = x_aug
     else:
-        aug, x_aug = add_dummy_edges(sub, x_sub, sigma)
-        xt_aug = tuple(float(g_transform(v, sigma)) for v in x_aug)
-    orig_of: list[int | None] = list(orig_of_sub) + [None] * (len(aug.edges) - len(sub.edges))
+        aug, x_aug = add_dummy_edges(graph, x_round, sigma)
+        xt_aug = tuple(g_transform(np.array(x_aug), sigma).tolist())
 
-    by_orig = {orig: i for i, orig in enumerate(orig_of_sub)}
     dists: dict[int, PermDistribution] = {}
     for v in range(aug.a_count):
         incident = aug.edges_at_a[v]
-        support_edges = [e for e in incident if x_aug[e] > 1e-15]
+        support_edges = tuple(e for e in incident if x_aug[e] > 1e-15)
         if not support_edges:
             continue
         if v < graph.a_count:
-            key_ids = tuple(sorted(orig_of_sub[e] for e in support_edges))
-            support = cache.support_for(v, key_ids)
-            local = tuple(
-                (tuple(by_orig[o] for o in perm), q) for perm, q in support
-            )
-            dists[v] = PermDistribution(
-                vertex=v,
-                support=local,
-                targets={e: x_aug[e] for e in incident},
-            )
+            support = cache.support_for(v, support_edges)
         else:
             # dummy vertex: single p=1 edge with mass x, rest on the empty perm
             (d,) = support_edges
             q = min(x_aug[d], 1.0)
-            support = ((tuple([d]), q),) if q >= 1.0 - 1e-15 else (((), 1.0 - q), ((d,), q))
-            dists[v] = PermDistribution(vertex=v, support=support, targets={d: x_aug[d]})
-    return _Round(aug=aug, x_aug=tuple(x_aug), xt_aug=xt_aug, orig_of=tuple(orig_of), dists=dists)
+            support = (((d,), q),) if q >= 1.0 - 1e-15 else (((), 1.0 - q), ((d,), q))
+        dists[v] = PermDistribution(
+            vertex=v, support=support, targets={e: x_aug[e] for e in incident}
+        )
+    return _Round(aug=aug, x_aug=x_aug, xt_aug=xt_aug, dists=dists)
 
 
 def _proposal_pass(
-    rnd: _Round,
+    graph: StochasticGraph,
+    x,
+    sigma: float | None,
+    edge_ids,
     state: RealizationState,
     rng: np.random.Generator,
-    log: list[str],
-    events: list[tuple[int, str]],
-    rounds: dict[int, int],
-    round_no: int,
-    matched_a: set[int],
-    matched_b: set[int],
-) -> tuple[set[int], float]:
-    """Walk the augmented A side in a uniform random order; each vertex
-    proposes its first realized edge; B accepts first proposals only.
-    Returns newly matched original edges and their weight."""
+    cache: DistributionCache | None,
+) -> RunResult:
+    """One proposal round over ``edge_ids``: walk the augmented A side in a
+    uniform random order; each vertex proposes its first realized edge; B
+    accepts first proposals only."""
+    rnd = _compile_round(graph, x, sigma, edge_ids, cache or DistributionCache(graph, x))
     aug = rnd.aug
+    log = [UNEXAMINED] * len(graph.edges)
+    events: list[tuple[int, str]] = []
+    matched_a: set[int] = set()
+    matched_b: set[int] = set()
     matching: set[int] = set()
     weight = 0.0
-    order = rng.permutation(aug.a_count)
-    for v in order:
+    for v in rng.permutation(aug.a_count):
         dist = rnd.dists.get(int(v))
         if dist is None:
             continue
@@ -239,26 +211,32 @@ def _proposal_pass(
             e = aug.edges[e_id]
             realized = sample_realization(aug, state, e_id)
             u_free = e.b not in matched_b
-            orig = rnd.orig_of[e_id]
-            if orig is not None:
+            if not e.is_dummy:
                 if u_free:
                     status = QUERIED_MATCHED if realized else QUERIED_NOT_REALIZED
                 else:
                     status = COINFLIP_REALIZED if realized else COINFLIP_NOT_REALIZED
-                log[orig] = status
-                events.append((orig, status))
-                rounds[orig] = round_no
+                log[e_id] = status
+                events.append((e_id, status))
             if realized:
                 if u_free:
                     matched_b.add(e.b)
-                    if orig is not None:
-                        matching.add(orig)
+                    if e.is_dummy:
+                        events.append((e.b, DUMMY_BLOCKED))
+                    else:
+                        matching.add(e_id)
                         weight += e.w
                         matched_a.add(e.a)
-                    else:
-                        events.append((e.b, DUMMY_BLOCKED))
                 break
-    return matching, weight
+    return RunResult(
+        matching=frozenset(matching),
+        weight=weight,
+        edge_log=tuple(log),
+        query_order=tuple(events),
+        rounds={e: 1 for e, status in events if status != DUMMY_BLOCKED},
+        matched_a=frozenset(matched_a),
+        matched_b=frozenset(matched_b),
+    )
 
 
 def simple_matching(
@@ -271,25 +249,7 @@ def simple_matching(
     """Proposal rounding with marginals exactly ``x``: uniform A order, each
     vertex examines a proportional permutation until its first realized
     edge, B vertices accept their first proposal."""
-    cache = cache or DistributionCache(graph, x)
-    rnd = _compile_round(graph, x, None, range(len(graph.edges)), cache)
-    log = [UNEXAMINED] * len(graph.edges)
-    events: list[tuple[int, str]] = []
-    rounds: dict[int, int] = {}
-    matched_a: set[int] = set()
-    matched_b: set[int] = set()
-    matching, weight = _proposal_pass(
-        rnd, state, rng, log, events, rounds, 1, matched_a, matched_b
-    )
-    return RunResult(
-        matching=frozenset(matching),
-        weight=weight,
-        edge_log=tuple(log),
-        query_order=tuple(events),
-        rounds=rounds,
-        matched_a=frozenset(matched_a),
-        matched_b=frozenset(matched_b),
-    )
+    return _proposal_pass(graph, x, None, range(len(graph.edges)), state, rng, cache)
 
 
 def base_matching(
@@ -304,37 +264,8 @@ def base_matching(
     """Shrink ``x`` through the transform, pad B degrees to ``sigma`` with
     dummies, then run the proposal loop with the filtered permutation
     sampler.  Dummy matches block endpoints but are not reported."""
-    _check_degrees(graph, x, sigma, edge_subset)
-    cache = cache or DistributionCache(graph, x)
-    ids = sorted(edge_subset) if edge_subset is not None else range(len(graph.edges))
-    rnd = _compile_round(graph, x, sigma, ids, cache)
-    log = [UNEXAMINED] * len(graph.edges)
-    events: list[tuple[int, str]] = []
-    rounds: dict[int, int] = {}
-    matched_a: set[int] = set()
-    matched_b: set[int] = set()
-    matching, weight = _proposal_pass(
-        rnd, state, rng, log, events, rounds, 1, matched_a, matched_b
-    )
-    return RunResult(
-        matching=frozenset(matching),
-        weight=weight,
-        edge_log=tuple(log),
-        query_order=tuple(events),
-        rounds=rounds,
-        matched_a=frozenset(matched_a),
-        matched_b=frozenset(matched_b),
-    )
-
-
-def _check_degrees(graph: StochasticGraph, x, sigma: float, edge_subset) -> None:
-    included = set(edge_subset) if edge_subset is not None else None
-    for u in range(graph.b_count):
-        deg = sum(
-            x[e] for e in graph.edges_at_b[u] if included is None or e in included
-        )
-        if deg > sigma + EPS:
-            raise ValueError(f"B vertex {u} fractional degree {deg} exceeds sigma={sigma}")
+    ids = range(len(graph.edges)) if edge_subset is None else edge_subset
+    return _proposal_pass(graph, x, sigma, ids, state, rng, cache)
 
 
 def available_edges(graph: StochasticGraph, run: RunResult) -> frozenset[int]:
@@ -368,6 +299,42 @@ def classify_light(graph: StochasticGraph, x, tau: float) -> tuple[list[int], fl
     return light, omega, lp_mass
 
 
+@dataclass(frozen=True)
+class ApxPlan:
+    """The two-branch algorithm's decision for one (graph, x): light edges
+    carry ``omega`` of the LP mass ``lp_mass``.  At ``omega >= lam *
+    lp_mass`` the branch is ``two-round`` (round 1 on every edge at cap 1,
+    round 2 on the edges left available), else ``heavy-prune`` (one round
+    on the heavy edges at the reduced cap implied by ``tau``)."""
+
+    branch: str
+    edge_ids: tuple[int, ...]  # round-1 edges
+    sigma: float  # round-1 cap
+    omega: float
+    lp_mass: float
+
+
+def apx_plan(graph: StochasticGraph, x, params: TransformParams) -> ApxPlan:
+    """Classify edges by the shrunk-to-probability ratio at cap 1 and pick
+    the branch.  The heavy branch refuses a heavy B degree above its bound,
+    which no LP optimum has."""
+    light, omega, lp_mass = classify_light(graph, x, params.tau)
+    m = len(graph.edges)
+    if omega >= params.lam * lp_mass:
+        return ApxPlan("two-round", tuple(range(m)), 1.0, omega, lp_mass)
+    light_set = set(light)
+    sigma = heavy_degree_bound(params.tau)
+    for u in range(graph.b_count):
+        deg = sum(x[e] for e in graph.edges_at_b[u] if e not in light_set)
+        if deg > sigma + EPS:
+            raise ValueError(
+                f"heavy fractional degree {deg} at B vertex {u} exceeds "
+                f"the guaranteed bound {sigma}; x is not an LP optimum"
+            )
+    heavy = tuple(e for e in range(m) if e not in light_set)
+    return ApxPlan("heavy-prune", heavy, sigma, omega, lp_mass)
+
+
 def apx_matching(
     graph: StochasticGraph,
     x,
@@ -376,57 +343,29 @@ def apx_matching(
     rng: np.random.Generator,
     cache: DistributionCache | None = None,
 ) -> RunResult:
-    """Two-branch rounding around ``base_matching``.
-
-    Classify edges by the shrunk-to-probability ratio at cap 1; if light
-    edges carry at least a ``lam`` fraction of the LP mass, run two passes
-    (the second on edges still available), else drop the light edges and run
-    one pass on the heavy subgraph with the reduced cap implied by ``tau``.
-    """
+    """Two-branch rounding around ``base_matching`` as decided by
+    ``apx_plan``; in the two-round branch the second pass runs on the edges
+    still available after the first."""
     cache = cache or DistributionCache(graph, x)
-    m = len(graph.edges)
-    light, omega, lp_mass = classify_light(graph, x, params.tau)
+    plan = apx_plan(graph, x, params)
+    run1 = base_matching(graph, x, plan.sigma, state, rng, cache, edge_subset=plan.edge_ids)
+    if plan.branch == "heavy-prune":
+        return replace(run1, branch=plan.branch)
 
-    if omega >= params.lam * lp_mass:
-        run1 = base_matching(graph, x, 1.0, state, rng, cache)
-        second = available_edges(graph, run1)
-        run2 = base_matching(graph, x, 1.0, state, rng, cache, edge_subset=second)
-        log = [
-            run2.edge_log[e] if run2.edge_log[e] != UNEXAMINED else run1.edge_log[e]
-            for e in range(m)
-        ]
-        rounds = dict(run1.rounds)
-        rounds.update({e: 2 for e in run2.rounds})
-        return RunResult(
-            matching=run1.matching | run2.matching,
-            weight=run1.weight + run2.weight,
-            edge_log=tuple(log),
-            query_order=run1.query_order + run2.query_order,
-            rounds=rounds,
-            matched_a=run1.matched_a | run2.matched_a,
-            matched_b=run1.matched_b | run2.matched_b,
-            branch="two-round",
-        )
-
-    heavy = sorted(set(range(m)) - set(light))
-    sigma = heavy_degree_bound(params.tau)
-    for u in range(graph.b_count):
-        deg = sum(x[e] for e in graph.edges_at_b[u] if graph.edges[e].id in set(heavy))
-        if deg > sigma + EPS:
-            raise ValueError(
-                f"heavy fractional degree {deg} at B vertex {u} exceeds "
-                f"the guaranteed bound {sigma}; x is not an LP optimum"
-            )
-    run = base_matching(graph, x, sigma, state, rng, cache, edge_subset=heavy)
+    run2 = base_matching(graph, x, 1.0, state, rng, cache, edge_subset=available_edges(graph, run1))
+    rounds = dict(run1.rounds)
+    rounds.update({e: 2 for e in run2.rounds})
     return RunResult(
-        matching=run.matching,
-        weight=run.weight,
-        edge_log=run.edge_log,
-        query_order=run.query_order,
-        rounds=run.rounds,
-        matched_a=run.matched_a,
-        matched_b=run.matched_b,
-        branch="heavy-prune",
+        matching=run1.matching | run2.matching,
+        weight=run1.weight + run2.weight,
+        edge_log=tuple(
+            s2 if s2 != UNEXAMINED else s1 for s1, s2 in zip(run1.edge_log, run2.edge_log)
+        ),
+        query_order=run1.query_order + run2.query_order,
+        rounds=rounds,
+        matched_a=run1.matched_a | run2.matched_a,
+        matched_b=run1.matched_b | run2.matched_b,
+        branch=plan.branch,
     )
 
 

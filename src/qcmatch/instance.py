@@ -74,14 +74,6 @@ class StochasticGraph:
             adj[e.b].append(e.id)
         return tuple(tuple(v) for v in adj)
 
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(e.w for e in self.edges)
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return tuple(e.p for e in self.edges)
-
 
 def make_graph(a_count: int, b_count: int, triples) -> StochasticGraph:
     """Build a graph from ``(a, b, w, p)`` tuples in canonical order."""
@@ -211,8 +203,8 @@ def generate_instance(
 
 @dataclass
 class RealizationState:
-    """Per-experiment memo of edge realizations, keyed by endpoint pair so
-    the memo is stable across re-indexed edge subsets of the same instance.
+    """Per-experiment memo of edge realizations, keyed by endpoint pair, so
+    every round of one trial sees the same coins.
 
     Single-owner per trial.  Dummy edges are realized without consuming
     randomness; every other edge consumes exactly one uniform at its first
@@ -222,10 +214,6 @@ class RealizationState:
 
     rng: np.random.Generator
     flags: dict[tuple[int, int], bool] = field(default_factory=dict)
-
-    def sampled(self, graph: StochasticGraph, edge_id: int) -> bool:
-        e = graph.edges[edge_id]
-        return (e.a, e.b) in self.flags
 
 
 def sample_realization(graph: StochasticGraph, state: RealizationState, edge_id: int) -> bool:

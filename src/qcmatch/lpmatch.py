@@ -172,7 +172,8 @@ def check_feasibility(graph: StochasticGraph, x, mode: str = "exhaustive") -> Fe
             continue
         if mode == "exhaustive" and len(incident) > EXHAUSTIVE_DEGREE_CAP:
             raise ValueError(
-                f"degree {len(incident)} exceeds exhaustive cap {EXHAUSTIVE_DEGREE_CAP}"
+                f"{key[0].upper()}-vertex {key[1]}: degree {len(incident)} "
+                f"exceeds exhaustive cap {EXHAUSTIVE_DEGREE_CAP}"
             )
         v, wit = _vertex_worst(graph, x, incident, exhaustive=(mode == "exhaustive"))
         if v > worst:

@@ -21,10 +21,9 @@ from threading import Lock
 
 import numpy as np
 
-from .engine import DistributionCache, classify_light, _compile_round
+from .engine import DistributionCache, _compile_round, apx_plan
 from .instance import StochasticGraph
-from .lpmatch import EPS
-from .transform import TransformParams, heavy_degree_bound
+from .transform import TransformParams
 
 CHUNK_SIZE = 1 << 16
 
@@ -47,7 +46,7 @@ class _Compiled:
     m: int
     edge_b: np.ndarray
     edge_w: np.ndarray
-    orig_id: np.ndarray          # original edge id or -1 per augmented edge
+    orig_id: np.ndarray          # original edge id, -1 for dummies
     t_term: np.ndarray           # p (1 - r)
     t_prop: np.ndarray           # + r p
     t_app: np.ndarray            # + r (1 - p)
@@ -60,10 +59,10 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
     aug = rnd.aug
     m = len(aug.edges)
     p = np.array([e.p for e in aug.edges])
+    x_aug = np.array(rnd.x_aug)
+    pos = x_aug > 0.0
     r = np.ones(m)
-    for e in range(m):
-        if rnd.x_aug[e] > 0.0:
-            r[e] = min(rnd.xt_aug[e] / rnd.x_aug[e], 1.0)
+    r[pos] = np.minimum(np.array(rnd.xt_aug)[pos] / x_aug[pos], 1.0)
     t_term = p * (1.0 - r)
     t_prop = t_term + r * p
     t_app = t_prop + r * (1.0 - p)
@@ -89,7 +88,7 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
         m=m,
         edge_b=np.array([e.b for e in aug.edges], dtype=np.int64),
         edge_w=np.array([e.w for e in aug.edges]),
-        orig_id=np.array([o if o is not None else -1 for o in rnd.orig_of], dtype=np.int64),
+        orig_id=np.array([-1 if e.is_dummy else e.id for e in aug.edges], dtype=np.int64),
         t_term=t_term,
         t_prop=t_prop,
         t_app=t_app,
@@ -184,30 +183,15 @@ class _ApxContext:
     def __init__(self, graph: StochasticGraph, x, params: TransformParams):
         self.graph = graph
         self.x = tuple(float(v) for v in x)
-        self.params = params
         self.cache = DistributionCache(graph, x)
-        light, omega, lp_mass = classify_light(graph, x, params.tau)
-        self.two_round = omega >= params.lam * lp_mass
-        self.omega = omega
-        self.lp_mass = lp_mass
+        self.plan = apx_plan(graph, x, params)
         m = len(graph.edges)
-        if self.two_round:
-            if m > _MASK_BITS:
-                raise ValueError(
-                    f"two-round apx packs surviving edges into a {_MASK_BITS}-bit mask; "
-                    f"{m} edges exceed the {_MASK_BITS}-edge limit"
-                )
-            self.round1 = _compile_arrays(graph, x, 1.0, range(m), self.cache)
-        else:
-            heavy = sorted(set(range(m)) - set(light))
-            sigma = heavy_degree_bound(params.tau)
-            for u in range(graph.b_count):
-                deg = sum(x[e] for e in graph.edges_at_b[u] if e in set(heavy))
-                if deg > sigma + EPS:
-                    raise ValueError(
-                        f"heavy fractional degree {deg} at B vertex {u} exceeds {sigma}"
-                    )
-            self.round1 = _compile_arrays(graph, x, sigma, heavy, self.cache)
+        if self.plan.branch == "two-round" and m > _MASK_BITS:
+            raise ValueError(
+                f"two-round apx packs surviving edges into a {_MASK_BITS}-bit mask; "
+                f"{m} edges exceed the {_MASK_BITS}-edge limit"
+            )
+        self.round1 = _compile_arrays(graph, x, self.plan.sigma, self.plan.edge_ids, self.cache)
         self.edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
         self.edge_b_orig = np.array([e.b for e in graph.edges], dtype=np.int64)
         self._round2: dict[int, _Compiled | None] = {}
@@ -229,15 +213,15 @@ class _ApxContext:
 
 
 def _apx_chunk(ctx: _ApxContext, n: int, rng: np.random.Generator, n_orig: int):
-    if not ctx.two_round:
+    if ctx.plan.branch == "heavy-prune":
         weights, win, _, _ = _run_proposal_chunk(ctx.round1, n, rng, need_state=False)
         return weights, _count_orig_matches(ctx.round1, win, n_orig)
 
     weights, win, exam, a_matched = _run_proposal_chunk(ctx.round1, n, rng, need_state=True)
     counts = _count_orig_matches(ctx.round1, win, n_orig)
     b_matched = win >= 0
-    # available edges: unexamined, both endpoints unmatched (round 1's
-    # original edges are the augmented prefix in compile order)
+    # available edges: unexamined, both endpoints unmatched (original edges
+    # are the augmented prefix)
     avail = (
         ~exam[:, :n_orig]
         & ~a_matched[np.arange(n)[:, None], ctx.edge_a[None, :]]
@@ -324,7 +308,7 @@ def run_batch(
         if x is None:
             raise ValueError("apx requires an LP solution")
         ctx = _ApxContext(graph, x, params)
-        branch = "two-round" if ctx.two_round else "heavy-prune"
+        branch = ctx.plan.branch
 
         def body(n, rng):
             return _apx_chunk(ctx, n, rng, n_orig)

@@ -1,6 +1,6 @@
 """Ground truth for the rounding algorithms at desk scale.
 
-Three oracles live here:
+Two oracles live here:
 
 * ``max_weight_matching`` / ``expected_opt_exact`` -- the offline optimum,
   by exhaustive search over tiny edge sets and a subset-lattice DP over all
@@ -18,8 +18,7 @@ Three oracles live here:
   per-vertex outcomes as a product measure and attach per-B order factors,
   which is exact and cheap at the supported sizes.
 
-* ``monte_carlo_estimate`` -- seeded, reproducible trial estimates,
-  delegating to the vectorized batch runner.
+Monte Carlo estimates come from ``mcsim.run_batch``.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import mcsim
-from .engine import AlgorithmConfig, DistributionCache, _compile_round
+from .engine import DistributionCache, _compile_round
 from .instance import StochasticGraph
 
 #: enumeration refuses to build joint tables beyond this many entries
@@ -68,14 +66,6 @@ class ExactEventReport:
     b_unmatched: tuple[float, ...]
     expected_weight: float
     conditionals: Mapping[ConditionalKey, float | None] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    mean: float
-    stderr: float
-    trials: int
-    master_seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -375,40 +365,6 @@ def exact_event_probabilities(
         b_unmatched=tuple(b_unmatched),
         expected_weight=expected_weight,
         conditionals=conds,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-# ---------------------------------------------------------------------------
-
-def monte_carlo_estimate(
-    graph: StochasticGraph,
-    config: AlgorithmConfig,
-    trials: int,
-    master_seed: int,
-    x=None,
-    threads: int = 1,
-) -> MonteCarloEstimate:
-    """Mean matching weight over independent seeded trials.
-
-    Per-chunk streams are derived from (master seed, chunk index) and
-    chunk results are combined in chunk order, so the estimate is
-    bit-identical for fixed inputs regardless of thread scheduling.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    res = mcsim.run_batch(
-        graph,
-        x,
-        config.algorithm,
-        config.params,
-        trials,
-        master_seed,
-        threads=threads,
-    )
-    return MonteCarloEstimate(
-        mean=res.mean, stderr=res.stderr, trials=trials, master_seed=master_seed
     )
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qcmatch.cli import main
 
 
@@ -62,6 +64,19 @@ def test_usage_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert run_cli("solve", "--instance", str(bad), "--out", str(sol)) == 2
+
+
+def test_oracle_events_tokens(tmp_path):
+    inst = tmp_path / "i.json"
+    out = tmp_path / "o.json"
+    run_cli("gen", "--model", "complete", "--na", "2", "--nb", "2", "--seed", "3",
+            "--out", str(inst))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("oracle", "--instance", str(inst), "--events", "lemma5", "--out", str(out))
+    assert exc.value.code == 2
+    assert run_cli("oracle", "--instance", str(inst), "--events", "lemma7",
+                   "--out", str(out)) == 0
+    assert len(json.loads(out.read_text())["conditionals"]) == 4  # one per edge
 
 
 def test_verify_subcommand(tmp_path):

@@ -10,8 +10,8 @@ from qcmatch.engine import (
     COINFLIP_REALIZED,
     QUERIED_MATCHED,
     UNEXAMINED,
-    AlgorithmConfig,
     DistributionCache,
+    _compile_round,
     apx_matching,
     available_edges,
     base_matching,
@@ -302,7 +302,33 @@ def test_heavy_branch_bound_monte_carlo():
     assert res.mean >= bound - 4 * res.stderr
 
 
-def test_algorithm_config_validation():
-    AlgorithmConfig("apx")
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        AlgorithmConfig("blossom")
+def test_heavy_degree_refusal_is_shared():
+    # every edge is heavy (ratio ~0.96 > tau), so the heavy degree at b0 is
+    # 1.0 against a bound of ~0.53: no LP optimum looks like this
+    g = make_graph(10, 1, [(a, 0, 1.0, 0.1) for a in range(10)])
+    x = [0.1] * 10
+    params = TransformParams()
+    assert heavy_degree_bound(params.tau) < 0.54
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="not an LP optimum"):
+        apx_matching(g, x, params, RealizationState(rng), rng)
+    with pytest.raises(ValueError, match="not an LP optimum"):
+        mcsim.run_batch(g, x, "apx", params, 100, 0)
+
+
+@pytest.mark.parametrize("sigma", [None, 1.0, 0.53])
+def test_compile_round_masks_x_to_its_edges(sigma):
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        g = random_instance(rng)
+        x = random_feasible_x(g, rng, sigma=sigma or 1.0)
+        m = len(g.edges)
+        subset = [e for e in range(m) if rng.random() < 0.6]
+        rnd = _compile_round(g, x, sigma, subset, DistributionCache(g, x))
+        assert rnd.aug.edges[:m] == g.edges
+        assert all(e.is_dummy for e in rnd.aug.edges[m:])
+        for e in range(m):
+            assert rnd.x_aug[e] == (x[e] if e in subset else 0.0)
+        for dist in rnd.dists.values():
+            for perm, _ in dist.support:
+                assert all(e in subset or rnd.aug.edges[e].is_dummy for e in perm)

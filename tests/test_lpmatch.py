@@ -147,7 +147,7 @@ def test_check_feasibility_examples():
 def test_exhaustive_degree_cap():
     triples = [(a, 0, 1.0, 0.5) for a in range(21)]
     g = make_graph(21, 1, triples)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="B-vertex 0: degree 21 exceeds exhaustive cap 20"):
         check_feasibility(g, [0.0] * 21, "exhaustive")
     check_feasibility(g, [0.0] * 21, "prefix")  # prefix mode still works
 

@@ -78,6 +78,12 @@ def test_batch_chunk_boundaries():
         assert 0.0 <= res.mean <= 1.0
 
 
+def test_batch_rejects_unknown_algorithm():
+    g = make_graph(1, 1, [(0, 0, 1.0, 0.5)])
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        mcsim.run_batch(g, [0.5], "blossom", TransformParams(), 10, 0)
+
+
 def test_batch_requires_solution_when_needed():
     g = make_graph(1, 1, [(0, 0, 1.0, 0.5)])
     with pytest.raises(ValueError, match="requires"):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcmatch import oracle
-from qcmatch.engine import AlgorithmConfig
+from qcmatch import mcsim, oracle
 from qcmatch.instance import make_graph
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.oracle import (
@@ -13,8 +12,8 @@ from qcmatch.oracle import (
     exact_event_probabilities,
     expected_opt_exact,
     max_weight_matching,
-    monte_carlo_estimate,
 )
+from qcmatch.transform import TransformParams
 from util import (
     b_unmatched_closed_form,
     matched_prob_closed_form,
@@ -147,21 +146,21 @@ def test_budget_guard():
 
 def test_monte_carlo_deterministic_instance():
     g = make_graph(1, 1, [(0, 0, 2.5, 1.0)])
-    est = monte_carlo_estimate(g, AlgorithmConfig("greedy"), 1000, 5)
+    est = mcsim.run_batch(g, None, "greedy", TransformParams(), 1000, 5)
     assert est.mean == 2.5 and est.stderr == 0.0
 
 
 def test_monte_carlo_reproducible():
     g = make_graph(2, 2, [(0, 0, 1.0, 0.7), (1, 1, 1.0, 0.7), (0, 1, 1.0, 0.4)])
     sol = solve_lp_match(g)
-    a = monte_carlo_estimate(g, AlgorithmConfig("alg1"), 50000, 9, x=sol.x)
-    b = monte_carlo_estimate(g, AlgorithmConfig("alg1"), 50000, 9, x=sol.x)
+    a = mcsim.run_batch(g, sol.x, "alg1", TransformParams(), 50000, 9)
+    b = mcsim.run_batch(g, sol.x, "alg1", TransformParams(), 50000, 9)
     assert a == b
 
 
 def test_monte_carlo_agrees_with_exact():
     g = make_graph(1, 1, [(0, 0, 1.0, 1.0)])
-    est = monte_carlo_estimate(g, AlgorithmConfig("alg1"), 10**6, 13, x=[1.0])
+    est = mcsim.run_batch(g, [1.0], "alg1", TransformParams(), 10**6, 13)
     assert abs(est.mean - (1 - 1 / math.e)) <= 4 * est.stderr
 
 
