@@ -111,13 +111,20 @@ def greedy_matching(
 
 class DistributionCache:
     """Memo for proportional distributions keyed by (vertex, incident edge
-    subset), so every round of every trial on the same (graph, x) can reuse
-    them."""
+    subset) and for compiled rounds keyed by (cap, edge ids), so every round
+    of every trial on the same (graph, x) can reuse them."""
 
     def __init__(self, graph: StochasticGraph, x) -> None:
         self.graph = graph
         self.x = tuple(float(v) for v in x)
         self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], float], ...]] = {}
+        self._rounds: dict[tuple[float | None, tuple[int, ...]], _Round] = {}
+
+    def round_for(self, sigma: float | None, edge_ids) -> "_Round":
+        key = (sigma, tuple(sorted(edge_ids)))
+        if key not in self._rounds:
+            self._rounds[key] = _compile_round(self.graph, self.x, sigma, key[1], self)
+        return self._rounds[key]
 
     def support_for(self, vertex: int, edge_ids: tuple[int, ...]):
         key = (vertex, edge_ids)
@@ -194,7 +201,7 @@ def _proposal_pass(
     """One proposal round over ``edge_ids``: walk the augmented A side in a
     uniform random order; each vertex proposes its first realized edge; B
     accepts first proposals only."""
-    rnd = _compile_round(graph, x, sigma, edge_ids, cache or DistributionCache(graph, x))
+    rnd = (cache or DistributionCache(graph, x)).round_for(sigma, edge_ids)
     aug = rnd.aug
     log = [UNEXAMINED] * len(graph.edges)
     events: list[tuple[int, str]] = []

@@ -148,9 +148,10 @@ def generate_instance(
 
     Models: ``complete`` (all pairs), ``uniform`` (each pair kept with
     probability ``density``), ``star`` (one B vertex), and ``hard``
-    (a low-probability perfect matching plus sparse cross edges, which
-    drives the LP toward x close to p on every edge and stresses the
-    heavy-edge branch of the two-phase rounding).
+    (a low-probability perfect matching plus sparse cross edges, aimed at
+    the heavy-edge branch of the two-phase rounding; the cross edges take
+    LP mass off the matching edges and make them light, so most draws
+    still take the two-round branch).
     """
     if model not in GENERATOR_MODELS:
         raise InstanceError(f"unknown model {model!r}; choose from {GENERATOR_MODELS}")

@@ -4,8 +4,10 @@ Simulates many independent trials of an algorithm at once with numpy.  The
 proposal algorithms factor cleanly across trials: each A vertex's walk is
 independent of the global matching state, and acceptance at a B vertex just
 picks the proposer with the smallest uniform priority, so whole chunks of
-trials advance in lockstep.  The second pass of the two-round branch groups
-trials by their surviving-edge set and reuses compiled instances per group.
+trials advance in lockstep.  The second pass of the two-round branch needs
+no walk: at cap 1 each A vertex proposes an available edge e with
+probability g(x_e, 1) whatever the available set, so it is one categorical
+draw per vertex, and only each B vertex's dummy depends on the trial.
 
 Trials are processed in fixed-size chunks with per-chunk RNG streams derived
 from (master seed, chunk index); chunk partials are reduced in chunk order,
@@ -17,13 +19,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 
 from .engine import DistributionCache, _compile_round, apx_plan
 from .instance import StochasticGraph
-from .transform import TransformParams
+from .transform import TransformParams, g_transform
 
 CHUNK_SIZE = 1 << 16
 
@@ -101,7 +102,7 @@ def _run_proposal_chunk(comp: _Compiled, n: int, rng: np.random.Generator, need_
     """One proposal round over ``n`` trials.
 
     Returns (per-trial weight, winner edges (n, n_b), and, when
-    ``need_state``, examined flags plus per-A matched flags).
+    ``need_state``, examined flags).
     """
     prio = rng.random((n, comp.n_a))
     prop = -np.ones((n, comp.n_a), dtype=np.int64)
@@ -137,116 +138,101 @@ def _run_proposal_chunk(comp: _Compiled, n: int, rng: np.random.Generator, need_
                 exam[do_exam, e[do_exam]] = True
             active &= ~(term | do_prop)
 
-    rows = np.arange(n)
-    best = np.full((n, comp.n_b), np.inf)
-    for v in range(comp.n_a):
-        pv = prop[:, v]
-        has = pv >= 0
-        if not has.any():
-            continue
-        np.minimum.at(best, (rows[has], comp.edge_b[pv[has]]), prio[has, v])
-    win = -np.ones((n, comp.n_b), dtype=np.int64)
-    a_matched = np.zeros((n, comp.n_a), dtype=bool) if need_state else None
-    for v in range(comp.n_a):
-        pv = prop[:, v]
-        has = pv >= 0
-        if not has.any():
-            continue
-        b = comp.edge_b[pv[has]]
-        first = prio[has, v] <= best[rows[has], b]
-        rr = rows[has][first]
-        win[rr, b[first]] = pv[has][first]
-        if need_state:
-            a_matched[rr, v] = True
-    wsel = np.where(win >= 0, win, 0)
-    weights = (comp.edge_w[wsel] * (win >= 0)).sum(axis=1)
-    return weights, win, exam, a_matched
+    weights, win = _accept(prop, prio, comp.edge_b, comp.edge_w, comp.n_b)
+    return weights, win, exam
+
+
+def _accept(prop: np.ndarray, prio: np.ndarray, edge_b: np.ndarray, edge_w: np.ndarray, n_b: int):
+    """Each B vertex accepts its min-priority proposer.
+
+    ``prop`` (n, k) holds each proposer's edge id (-1 for none) and ``prio``
+    its uniform priority; returns the per-trial accepted weight and the
+    accepted edge per (trial, B vertex), -1 where nobody proposed.
+    """
+    n = len(prop)
+    has = prop >= 0
+    rows = np.broadcast_to(np.arange(n)[:, None], prop.shape)[has]
+    eids = prop[has]
+    b = edge_b[eids]
+    pr = prio[has]
+    best = np.full((n, n_b), np.inf)
+    np.minimum.at(best, (rows, b), pr)
+    first = pr <= best[rows, b]
+    win = -np.ones((n, n_b), dtype=np.int64)
+    win[rows[first], b[first]] = eids[first]
+    return (edge_w[np.maximum(win, 0)] * (win >= 0)).sum(axis=1), win
 
 
 def _count_orig_matches(comp: _Compiled, win: np.ndarray, n_orig: int) -> np.ndarray:
-    vals = win[win >= 0]
-    if len(vals) == 0:
-        return np.zeros(n_orig, dtype=np.int64)
-    ovals = comp.orig_id[vals]
-    ovals = ovals[ovals >= 0]
-    return np.bincount(ovals, minlength=n_orig)
-
-
-#: bits of the surviving-edge mask that keys second-round compiles
-_MASK_BITS = 64
+    ovals = comp.orig_id[win[win >= 0]]
+    return np.bincount(ovals[ovals >= 0], minlength=n_orig)
 
 
 class _ApxContext:
-    """Shared compiled state for the two-branch algorithm; second-round
-    instances are compiled lazily per surviving-edge mask."""
+    """Compiled state of the two-branch algorithm: round 1 as a walk kernel,
+    round 2 of the two-round branch as a draw from per-edge proposal laws."""
 
     def __init__(self, graph: StochasticGraph, x, params: TransformParams):
         self.graph = graph
-        self.x = tuple(float(v) for v in x)
-        self.cache = DistributionCache(graph, x)
         self.plan = apx_plan(graph, x, params)
-        m = len(graph.edges)
-        if self.plan.branch == "two-round" and m > _MASK_BITS:
-            raise ValueError(
-                f"two-round apx packs surviving edges into a {_MASK_BITS}-bit mask; "
-                f"{m} edges exceed the {_MASK_BITS}-edge limit"
-            )
-        self.round1 = _compile_arrays(graph, x, self.plan.sigma, self.plan.edge_ids, self.cache)
+        self.round1 = _compile_arrays(graph, x, self.plan.sigma, self.plan.edge_ids, DistributionCache(graph, x))
+        self.x = np.asarray(x, dtype=float)
         self.edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
         self.edge_b_orig = np.array([e.b for e in graph.edges], dtype=np.int64)
-        self._round2: dict[int, _Compiled | None] = {}
-        self._lock = Lock()
+        # round 2 proposers are the A vertices and then B vertex u's dummy
+        # as proposer n_a + u with edge m + u; columns are grouped by
+        # proposer, each group starting at group_start
+        m, n_a, n_b = len(graph.edges), graph.a_count, graph.b_count
+        self.by_a = np.argsort(self.edge_a, kind="stable")
+        self.col_edge = np.concatenate((self.by_a, m + np.arange(n_b)))
+        self.col_owner = np.concatenate((self.edge_a[self.by_a], n_a + np.arange(n_b)))
+        self.group_start = np.searchsorted(self.col_owner, self.col_owner)
+        self.law = g_transform(self.x[self.by_a], 1.0)
+        self.at_b = np.eye(n_b)[self.edge_b_orig]
+        self.edge_b2 = np.concatenate((self.edge_b_orig, np.arange(n_b)))
+        self.edge_w2 = np.concatenate(([e.w for e in graph.edges], np.zeros(n_b)))
 
-    def round2_for(self, mask: int) -> _Compiled | None:
-        if mask in self._round2:
-            return self._round2[mask]
-        with self._lock:
-            if mask not in self._round2:
-                ids = [e for e in range(len(self.graph.edges)) if (mask >> e) & 1]
-                live = [e for e in ids if self.x[e] > 0.0]
-                self._round2[mask] = (
-                    _compile_arrays(self.graph, self.x, 1.0, ids, self.cache)
-                    if live
-                    else None
-                )
-        return self._round2[mask]
+    def round2_for(self, avail: np.ndarray, rng: np.random.Generator):
+        """Round 2 at cap 1 on x masked to ``avail`` (trials, edges): each A
+        vertex proposes available edge e with probability g(x_e, 1), each B
+        vertex's dummy with g(1 - available x-degree, 1), one uniform each
+        against the proposer's stretch of a masked cumulative sum.  Returns
+        per-trial weights and per-edge match counts."""
+        n, m = avail.shape
+        n_prop = self.graph.a_count + self.graph.b_count
+        gap = np.clip(1.0 - (avail * self.x) @ self.at_b, 0.0, 1.0)
+        law = np.concatenate((avail[:, self.by_a] * self.law, g_transform(gap, 1.0)), axis=1)
+        cum = np.cumsum(law, axis=1)
+        prev = np.concatenate((np.zeros((n, 1)), cum[:, :-1]), axis=1)
+        pick = rng.random((n, n_prop))[:, self.col_owner] + prev[:, self.group_start]
+        rows, cols = np.nonzero((prev <= pick) & (pick < cum))
+        prop = -np.ones((n, n_prop), dtype=np.int64)
+        prop[rows, self.col_owner[cols]] = self.col_edge[cols]
+        weights, win = _accept(prop, rng.random((n, n_prop)), self.edge_b2, self.edge_w2, self.graph.b_count)
+        return weights, np.bincount(win[win >= 0], minlength=m + self.graph.b_count)[:m]
 
 
 def _apx_chunk(ctx: _ApxContext, n: int, rng: np.random.Generator, n_orig: int):
     if ctx.plan.branch == "heavy-prune":
-        weights, win, _, _ = _run_proposal_chunk(ctx.round1, n, rng, need_state=False)
+        weights, win, _ = _run_proposal_chunk(ctx.round1, n, rng, need_state=False)
         return weights, _count_orig_matches(ctx.round1, win, n_orig)
 
-    weights, win, exam, a_matched = _run_proposal_chunk(ctx.round1, n, rng, need_state=True)
+    weights, win, exam = _run_proposal_chunk(ctx.round1, n, rng, need_state=True)
     counts = _count_orig_matches(ctx.round1, win, n_orig)
-    b_matched = win >= 0
+    rows, cols = np.nonzero((win >= 0) & (win < n_orig))
+    a_matched = np.zeros((n, ctx.graph.a_count), dtype=bool)
+    a_matched[rows, ctx.edge_a[win[rows, cols]]] = True
     # available edges: unexamined, both endpoints unmatched (original edges
-    # are the augmented prefix)
+    # are the augmented prefix; a dummy match blocks its B vertex)
     avail = (
         ~exam[:, :n_orig]
-        & ~a_matched[np.arange(n)[:, None], ctx.edge_a[None, :]]
-        & ~b_matched[np.arange(n)[:, None], ctx.edge_b_orig[None, :]]
+        & ~a_matched[:, ctx.edge_a]
+        & (win[:, ctx.edge_b_orig] < 0)
     )
-    masks = np.zeros(n, dtype=np.uint64)
-    for e in range(n_orig):
-        masks |= avail[:, e].astype(np.uint64) << np.uint64(e)
-    order = np.argsort(masks, kind="stable")
-    sorted_masks = masks[order]
-    boundaries = np.nonzero(np.diff(sorted_masks))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    for s, t in zip(starts, ends):
-        mask = int(sorted_masks[s])
-        if mask == 0:
-            continue
-        comp2 = ctx.round2_for(mask)
-        if comp2 is None:
-            continue
-        idx = order[s:t]
-        w2, win2, _, _ = _run_proposal_chunk(comp2, len(idx), rng, need_state=False)
-        weights[idx] += w2
-        counts += _count_orig_matches(comp2, win2, n_orig)
-    return weights, counts
+    live = np.nonzero((avail & (ctx.x > 0.0)).any(axis=1))[0]
+    w2, counts2 = ctx.round2_for(avail[live], rng)
+    weights[live] += w2
+    return weights, counts + counts2
 
 
 def _greedy_chunk(graph: StochasticGraph, n: int, rng: np.random.Generator):
@@ -302,7 +288,7 @@ def run_batch(
         comp = _compile_arrays(graph, x, sigma, range(n_orig), cache)
 
         def body(n, rng):
-            weights, win, _, _ = _run_proposal_chunk(comp, n, rng, need_state=False)
+            weights, win, _ = _run_proposal_chunk(comp, n, rng, need_state=False)
             return weights, _count_orig_matches(comp, win, n_orig)
     elif algorithm == "apx":
         if x is None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcmatch import mcsim, oracle
+from qcmatch import engine, mcsim, oracle
 from qcmatch.engine import (
     COINFLIP_NOT_REALIZED,
     COINFLIP_REALIZED,
@@ -332,3 +332,26 @@ def test_compile_round_masks_x_to_its_edges(sigma):
         for dist in rnd.dists.values():
             for perm, _ in dist.support:
                 assert all(e in subset or rnd.aug.edges[e].is_dummy for e in perm)
+
+
+def test_rounds_compile_once_per_cap_and_edge_set(monkeypatch):
+    # a shared cache compiles each (cap, edge set) once, however many trials
+    # reuse it; 4 edges allow at most 16 edge sets at cap 1
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _compile_round(*args)
+
+    monkeypatch.setattr(engine, "_compile_round", counting)
+    g = make_graph(2, 2, [(0, 0, 1.0, 0.6), (0, 1, 0.8, 0.9), (1, 0, 0.5, 1.0), (1, 1, 1.2, 0.4)])
+    sol = solve_lp_match(g)
+    params = TransformParams()
+    cache = DistributionCache(g, sol.x)
+    for t in range(200):
+        rng = rng_for_trial(5, t)
+        base_matching(g, sol.x, params.sigma, RealizationState(rng), rng, cache)
+        rng = rng_for_trial(6, t)
+        run = apx_matching(g, sol.x, params, RealizationState(rng), rng, cache)
+        assert run.branch == "two-round"
+    assert 2 <= len(calls) <= 16

@@ -5,13 +5,14 @@ from qcmatch import mcsim, oracle
 from qcmatch.engine import (
     DistributionCache,
     apx_matching,
+    available_edges,
     base_matching,
     greedy_matching,
     simple_matching,
 )
 from qcmatch.instance import RealizationState, make_graph, rng_for_trial
 from qcmatch.lpmatch import solve_lp_match
-from qcmatch.transform import TransformParams
+from qcmatch.transform import TransformParams, g_transform
 from util import random_instance
 
 
@@ -122,10 +123,54 @@ def test_batch_edge_frequencies_are_python_floats(algorithm):
     assert all(type(f) is float for f in res.edge_match_freq)
 
 
-def test_apx_two_round_refuses_more_than_64_edges():
-    # surviving edges are packed into a uint64; edges past 63 would lose
-    # their second round, so the run must fail instead of returning a
-    # wrong mean
-    g = make_graph(70, 70, [(i, i, 1.0, 1.0) for i in range(70)])
-    with pytest.raises(ValueError, match="64"):
-        mcsim.run_batch(g, [1.0] * 70, "apx", TransformParams(), 200, 3)
+@pytest.mark.parametrize("n,x", [(70, 1.0), (200, 1.0), (70, 0.5)])
+def test_apx_two_round_on_many_disjoint_sure_edges(n, x):
+    # a perfect matching of sure edges: in each round an edge is matched when
+    # its A end proposes, with probability g(x, 1), and beats b's dummy,
+    # which proposes with g(1 - x, 1); it stays available when neither
+    # proposed.  At x = 1 that is 1 - e^-2 over both rounds.
+    g = make_graph(n, n, [(i, i, 1.0, 1.0) for i in range(n)])
+    trials = 4000
+    res = mcsim.run_batch(g, [x] * n, "apx", TransformParams(), trials, 3)
+    assert res.branch == "two-round"
+    prop, dummy = g_transform(x, 1.0), g_transform(1.0 - x, 1.0)
+    once = prop * (1 - dummy / 2)
+    q = once * (1 + (1 - prop) * (1 - dummy))
+    if x == 1.0:
+        assert q == pytest.approx(1 - np.exp(-2.0))
+    assert abs(res.mean - n * q) <= 4 * res.stderr
+    sd = np.sqrt(q * (1 - q) / trials)
+    assert np.all(np.abs(np.array(res.edge_match_freq) - q) <= 4 * sd)
+
+
+def test_apx_round2_edge_frequencies_agree_with_engine():
+    # two-round instance whose first round leaves many distinct available
+    # edge sets; the engine walks both rounds, the batch draws round 2
+    g = make_graph(
+        3, 3,
+        [(0, 0, 1.0, 0.5), (0, 1, 0.9, 0.6), (1, 0, 0.8, 0.7), (1, 2, 1.1, 0.5),
+         (2, 1, 0.7, 0.8), (2, 2, 1.0, 0.6), (0, 2, 0.6, 0.9)],
+    )
+    sol = solve_lp_match(g)
+    params = TransformParams()
+    cache = DistributionCache(g, sol.x)
+    ref_trials = 20000
+    avail_sets = set()
+    for t in range(1000):
+        rng = rng_for_trial(16, t)
+        run1 = base_matching(g, sol.x, 1.0, RealizationState(rng), rng, cache)
+        avail_sets.add(available_edges(g, run1))
+    assert len(avail_sets) >= 20
+    freq_ref = np.zeros(len(g.edges))
+    for t in range(ref_trials):
+        rng = rng_for_trial(17, t)
+        run = apx_matching(g, sol.x, params, RealizationState(rng), rng, cache)
+        assert run.branch == "two-round"
+        freq_ref[list(run.matching)] += 1
+    freq_ref /= ref_trials
+    trials = 200000
+    res = mcsim.run_batch(g, sol.x, "apx", params, trials, 19)
+    freq = np.array(res.edge_match_freq)
+    var = freq_ref * (1 - freq_ref) / ref_trials + freq * (1 - freq) / trials
+    z = (freq - freq_ref) / np.sqrt(np.maximum(var, 1e-12))
+    assert np.all(np.abs(z) <= 4), z
