@@ -150,6 +150,21 @@ class _Round:
     dists: dict[int, PermDistribution]
 
 
+def _pad_round(graph: StochasticGraph, x, sigma: float | None, edge_ids):
+    """The round's x is ``x`` on ``edge_ids`` and 0 elsewhere; unless
+    ``sigma`` is None (plain proposal rounding) it is padded to B degree
+    ``sigma`` with dummies and shrunk through the transform.  Returns
+    (augmented graph, augmented x, augmented shrunk x); each augmented A
+    vertex proposes edge e with probability exactly the shrunk x_e."""
+    x_round = [0.0] * len(graph.edges)
+    for e in edge_ids:
+        x_round[e] = float(x[e])
+    if sigma is None:  # no padding, no shrink: plain proposal rounding
+        return graph, tuple(x_round), tuple(x_round)
+    aug, x_aug = add_dummy_edges(graph, x_round, sigma)
+    return aug, x_aug, tuple(g_transform(np.array(x_aug), sigma).tolist())
+
+
 def _compile_round(
     graph: StochasticGraph,
     x,
@@ -157,19 +172,9 @@ def _compile_round(
     edge_ids,
     cache: DistributionCache,
 ) -> _Round:
-    """The round's x is ``x`` on ``edge_ids`` and 0 elsewhere; unless
-    ``sigma`` is None (plain proposal rounding) it is padded to B degree
-    ``sigma`` with dummies and shrunk through the transform."""
-    x_round = [0.0] * len(graph.edges)
-    for e in edge_ids:
-        x_round[e] = float(x[e])
-    if sigma is None:  # no padding, no shrink: plain proposal rounding
-        aug, x_aug = graph, tuple(x_round)
-        xt_aug = x_aug
-    else:
-        aug, x_aug = add_dummy_edges(graph, x_round, sigma)
-        xt_aug = tuple(g_transform(np.array(x_aug), sigma).tolist())
-
+    """``_pad_round`` plus each augmented A vertex's permutation
+    distribution over its support."""
+    aug, x_aug, xt_aug = _pad_round(graph, x, sigma, edge_ids)
     dists: dict[int, PermDistribution] = {}
     for v in range(aug.a_count):
         incident = aug.edges_at_a[v]

@@ -1,13 +1,17 @@
 """Vectorized Monte-Carlo trial runner.
 
-Simulates many independent trials of an algorithm at once with numpy.  The
-proposal algorithms factor cleanly across trials: each A vertex's walk is
-independent of the global matching state, and acceptance at a B vertex just
-picks the proposer with the smallest uniform priority, so whole chunks of
-trials advance in lockstep.  The second pass of the two-round branch needs
-no walk: at cap 1 each A vertex proposes an available edge e with
-probability g(x_e, 1) whatever the available set, so it is one categorical
-draw per vertex, and only each B vertex's dummy depends on the trial.
+Simulates many independent trials of an algorithm at once with numpy.  In a
+proposal round each augmented A vertex proposes edge e with probability
+exactly the shrunk LP value of e (the filtered permutation sampler is built
+for this), independently of the other vertices, and each B vertex accepts
+its min-priority proposer.  So ``simple``, ``alg1`` and heavy-prune ``apx``
+need no permutation walk: every proposer makes one categorical draw over its
+edges per trial, and whole chunks of trials advance in lockstep.  Only
+round 1 of two-round ``apx`` walks sampled permutations, because the edges
+left available for round 2 depend on which edges the walks examined.  Its
+second pass at cap 1 is again one draw per proposer: each A vertex proposes
+an available edge e with probability g(x_e, 1) whatever the available set,
+and only each B vertex's dummy depends on the trial.
 
 Trials are processed in fixed-size chunks with per-chunk RNG streams derived
 from (master seed, chunk index); chunk partials are reduced in chunk order,
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DistributionCache, _compile_round, apx_plan
+from .engine import ApxPlan, DistributionCache, _compile_round, _pad_round, apx_plan
 from .instance import StochasticGraph
 from .transform import TransformParams, g_transform
 
@@ -40,14 +44,14 @@ class BatchResult:
 
 @dataclass
 class _Compiled:
-    """Array form of one proposal round over an augmented edge set."""
+    """Array form of a walked proposal round over an augmented edge set
+    (original edge ids are the augmented prefix)."""
 
     n_a: int
     n_b: int
     m: int
     edge_b: np.ndarray
     edge_w: np.ndarray
-    orig_id: np.ndarray          # original edge id, -1 for dummies
     t_term: np.ndarray           # p (1 - r)
     t_prop: np.ndarray           # + r p
     t_app: np.ndarray            # + r (1 - p)
@@ -89,7 +93,6 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
         m=m,
         edge_b=np.array([e.b for e in aug.edges], dtype=np.int64),
         edge_w=np.array([e.w for e in aug.edges]),
-        orig_id=np.array([-1 if e.is_dummy else e.id for e in aug.edges], dtype=np.int64),
         t_term=t_term,
         t_prop=t_prop,
         t_app=t_app,
@@ -98,15 +101,14 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
     )
 
 
-def _run_proposal_chunk(comp: _Compiled, n: int, rng: np.random.Generator, need_state: bool):
-    """One proposal round over ``n`` trials.
+def _run_proposal_chunk(comp: _Compiled, n: int, rng: np.random.Generator):
+    """One walked proposal round over ``n`` trials.
 
-    Returns (per-trial weight, winner edges (n, n_b), and, when
-    ``need_state``, examined flags).
+    Returns (per-trial weight, winner edges (n, n_b), examined flags (n, m)).
     """
     prio = rng.random((n, comp.n_a))
     prop = -np.ones((n, comp.n_a), dtype=np.int64)
-    exam = np.zeros((n, comp.m), dtype=bool) if need_state else None
+    exam = np.zeros((n, comp.m), dtype=bool)
     for v in range(comp.n_a):
         cum = comp.vert_cum[v]
         if cum is None:
@@ -132,9 +134,8 @@ def _run_proposal_chunk(comp: _Compiled, n: int, rng: np.random.Generator, need_
             do_exam = walk & (zz > t2) & (zz <= t3)
             if do_prop.any():
                 prop[do_prop, v] = e[do_prop]
-                if need_state:
-                    exam[do_prop, e[do_prop]] = True
-            if need_state and do_exam.any():
+                exam[do_prop, e[do_prop]] = True
+            if do_exam.any():
                 exam[do_exam, e[do_exam]] = True
             active &= ~(term | do_prop)
 
@@ -163,62 +164,89 @@ def _accept(prop: np.ndarray, prio: np.ndarray, edge_b: np.ndarray, edge_w: np.n
     return (edge_w[np.maximum(win, 0)] * (win >= 0)).sum(axis=1), win
 
 
-def _count_orig_matches(comp: _Compiled, win: np.ndarray, n_orig: int) -> np.ndarray:
-    ovals = comp.orig_id[win[win >= 0]]
-    return np.bincount(ovals[ovals >= 0], minlength=n_orig)
+def _count_matches(win: np.ndarray, n_orig: int) -> np.ndarray:
+    """Matches per original edge; original edges are the prefix of every
+    augmented edge set."""
+    return np.bincount(win[win >= 0], minlength=n_orig)[:n_orig]
+
+
+class _Proposers:
+    """The proposers of a round on ``graph``: the A vertices, then B vertex
+    u's dummy as proposer n_a + u with edge m + u.  Their laws are laid out
+    as columns, the graph's edges grouped by A vertex and then the dummies:
+    column c lets proposer ``owner[c]`` propose edge ``edge[c]``, and
+    ``start[c]`` is the first column of its group."""
+
+    def __init__(self, graph: StochasticGraph) -> None:
+        m, n_a, n_b = len(graph.edges), graph.a_count, graph.b_count
+        edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
+        self.by_a = np.argsort(edge_a, kind="stable")
+        self.n_prop = n_a + n_b
+        self.owner = np.concatenate((edge_a[self.by_a], n_a + np.arange(n_b)))
+        self.edge = np.concatenate((self.by_a, m + np.arange(n_b)))
+        self.start = np.searchsorted(self.owner, self.owner)
+        self.edge_b = np.concatenate(([e.b for e in graph.edges], np.arange(n_b))).astype(np.int64)
+        self.edge_w = np.concatenate(([e.w for e in graph.edges], np.zeros(n_b)))
+        self.n_b = n_b
+
+
+def _propose(props: _Proposers, law: np.ndarray, n: int, rng: np.random.Generator):
+    """Every proposer draws one column of its group with probability
+    ``law`` (per column, or per trial and column) and proposes nothing with
+    the rest of its mass, one uniform each against its stretch of a
+    cumulative sum; then each B vertex accepts its min-priority proposer.
+    Returns per-trial weights and the accepted edge per (trial, B vertex)."""
+    cum = np.cumsum(law, axis=-1)
+    prev = np.concatenate((np.zeros(cum.shape[:-1] + (1,)), cum[..., :-1]), axis=-1)
+    pick = rng.random((n, props.n_prop))[:, props.owner] + prev[..., props.start]
+    rows, cols = np.nonzero((prev <= pick) & (pick < cum))
+    prop = -np.ones((n, props.n_prop), dtype=np.int64)
+    prop[rows, props.owner[cols]] = props.edge[cols]
+    return _accept(prop, rng.random((n, props.n_prop)), props.edge_b, props.edge_w, props.n_b)
+
+
+def _round_law(graph: StochasticGraph, props: _Proposers, x, sigma: float | None, edge_ids) -> np.ndarray:
+    """Column law of a round that needs no examined-edge state: every A
+    vertex and every dummy proposes each edge of its walk's support with
+    probability the edge's shrunk x."""
+    aug, x_aug, xt_aug = _pad_round(graph, x, sigma, edge_ids)
+    xt = np.where(np.array(x_aug) > 1e-15, xt_aug, 0.0)
+    m = len(graph.edges)
+    dummy = np.zeros(graph.b_count)
+    dummy[[e.b for e in aug.edges[m:]]] = xt[m:]
+    return np.concatenate((xt[:m][props.by_a], dummy))
 
 
 class _ApxContext:
-    """Compiled state of the two-branch algorithm: round 1 as a walk kernel,
-    round 2 of the two-round branch as a draw from per-edge proposal laws."""
+    """Compiled state of two-round apx: round 1 as a walk kernel, because
+    the edges left available depend on the examined sets, and round 2 as a
+    draw from per-edge proposal laws."""
 
-    def __init__(self, graph: StochasticGraph, x, params: TransformParams):
+    def __init__(self, graph: StochasticGraph, x, plan: ApxPlan):
         self.graph = graph
-        self.plan = apx_plan(graph, x, params)
-        self.round1 = _compile_arrays(graph, x, self.plan.sigma, self.plan.edge_ids, DistributionCache(graph, x))
+        self.round1 = _compile_arrays(graph, x, plan.sigma, plan.edge_ids, DistributionCache(graph, x))
+        self.round2 = _Proposers(graph)
         self.x = np.asarray(x, dtype=float)
         self.edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
         self.edge_b_orig = np.array([e.b for e in graph.edges], dtype=np.int64)
-        # round 2 proposers are the A vertices and then B vertex u's dummy
-        # as proposer n_a + u with edge m + u; columns are grouped by
-        # proposer, each group starting at group_start
-        m, n_a, n_b = len(graph.edges), graph.a_count, graph.b_count
-        self.by_a = np.argsort(self.edge_a, kind="stable")
-        self.col_edge = np.concatenate((self.by_a, m + np.arange(n_b)))
-        self.col_owner = np.concatenate((self.edge_a[self.by_a], n_a + np.arange(n_b)))
-        self.group_start = np.searchsorted(self.col_owner, self.col_owner)
-        self.law = g_transform(self.x[self.by_a], 1.0)
-        self.at_b = np.eye(n_b)[self.edge_b_orig]
-        self.edge_b2 = np.concatenate((self.edge_b_orig, np.arange(n_b)))
-        self.edge_w2 = np.concatenate(([e.w for e in graph.edges], np.zeros(n_b)))
+        self.law = g_transform(self.x[self.round2.by_a], 1.0)
+        self.at_b = np.eye(graph.b_count)[self.edge_b_orig]
 
     def round2_for(self, avail: np.ndarray, rng: np.random.Generator):
         """Round 2 at cap 1 on x masked to ``avail`` (trials, edges): each A
         vertex proposes available edge e with probability g(x_e, 1), each B
-        vertex's dummy with g(1 - available x-degree, 1), one uniform each
-        against the proposer's stretch of a masked cumulative sum.  Returns
-        per-trial weights and per-edge match counts."""
+        vertex's dummy with g(1 - available x-degree, 1).  Returns per-trial
+        weights and per-edge match counts."""
         n, m = avail.shape
-        n_prop = self.graph.a_count + self.graph.b_count
         gap = np.clip(1.0 - (avail * self.x) @ self.at_b, 0.0, 1.0)
-        law = np.concatenate((avail[:, self.by_a] * self.law, g_transform(gap, 1.0)), axis=1)
-        cum = np.cumsum(law, axis=1)
-        prev = np.concatenate((np.zeros((n, 1)), cum[:, :-1]), axis=1)
-        pick = rng.random((n, n_prop))[:, self.col_owner] + prev[:, self.group_start]
-        rows, cols = np.nonzero((prev <= pick) & (pick < cum))
-        prop = -np.ones((n, n_prop), dtype=np.int64)
-        prop[rows, self.col_owner[cols]] = self.col_edge[cols]
-        weights, win = _accept(prop, rng.random((n, n_prop)), self.edge_b2, self.edge_w2, self.graph.b_count)
-        return weights, np.bincount(win[win >= 0], minlength=m + self.graph.b_count)[:m]
+        law = np.concatenate((avail[:, self.round2.by_a] * self.law, g_transform(gap, 1.0)), axis=1)
+        weights, win = _propose(self.round2, law, n, rng)
+        return weights, _count_matches(win, m)
 
 
-def _apx_chunk(ctx: _ApxContext, n: int, rng: np.random.Generator, n_orig: int):
-    if ctx.plan.branch == "heavy-prune":
-        weights, win, _ = _run_proposal_chunk(ctx.round1, n, rng, need_state=False)
-        return weights, _count_orig_matches(ctx.round1, win, n_orig)
-
-    weights, win, exam = _run_proposal_chunk(ctx.round1, n, rng, need_state=True)
-    counts = _count_orig_matches(ctx.round1, win, n_orig)
+def _two_round_chunk(ctx: _ApxContext, n: int, rng: np.random.Generator, n_orig: int):
+    weights, win, exam = _run_proposal_chunk(ctx.round1, n, rng)
+    counts = _count_matches(win, n_orig)
     rows, cols = np.nonzero((win >= 0) & (win < n_orig))
     a_matched = np.zeros((n, ctx.graph.a_count), dtype=bool)
     a_matched[rows, ctx.edge_a[win[rows, cols]]] = True
@@ -275,29 +303,34 @@ def run_batch(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_orig = len(graph.edges)
+    if x is not None and len(x) != n_orig:
+        raise ValueError(f"x has {len(x)} entries but the graph has {n_orig} edges")
     branch: str | None = None
 
     if algorithm == "greedy":
         def body(n, rng):
             return _greedy_chunk(graph, n, rng)
-    elif algorithm in ("simple", "alg1"):
+    elif algorithm in ("simple", "alg1", "apx"):
         if x is None:
             raise ValueError(f"{algorithm} requires an LP solution")
-        cache = DistributionCache(graph, x)
-        sigma = None if algorithm == "simple" else params.sigma
-        comp = _compile_arrays(graph, x, sigma, range(n_orig), cache)
+        if algorithm == "apx":
+            plan = apx_plan(graph, x, params)
+            branch, sigma, edge_ids = plan.branch, plan.sigma, plan.edge_ids
+        else:
+            sigma = None if algorithm == "simple" else params.sigma
+            edge_ids = range(n_orig)
+        if branch == "two-round":
+            ctx = _ApxContext(graph, x, plan)
 
-        def body(n, rng):
-            weights, win, _ = _run_proposal_chunk(comp, n, rng, need_state=False)
-            return weights, _count_orig_matches(comp, win, n_orig)
-    elif algorithm == "apx":
-        if x is None:
-            raise ValueError("apx requires an LP solution")
-        ctx = _ApxContext(graph, x, params)
-        branch = ctx.plan.branch
+            def body(n, rng):
+                return _two_round_chunk(ctx, n, rng, n_orig)
+        else:
+            props = _Proposers(graph)
+            law = _round_law(graph, props, x, sigma, edge_ids)
 
-        def body(n, rng):
-            return _apx_chunk(ctx, n, rng, n_orig)
+            def body(n, rng):
+                weights, win = _propose(props, law, n, rng)
+                return weights, _count_matches(win, n_orig)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,6 +117,7 @@ def add_dummy_edges(
 MIN_TAU = 1.0 - 1.0 / math.e
 
 
+@lru_cache(maxsize=256)
 def ratio_crossing(tau: float) -> float:
     """Least x with ``g(x,1)/x <= tau``.
 
@@ -145,6 +147,7 @@ def fixed_point_gap(x: float, tau: float) -> float:
     return x - 1.0 + (1.0 - c / tau) ** (x / c)
 
 
+@lru_cache(maxsize=256)  # pure in tau; the engine plans every apx trial
 def heavy_degree_bound(tau: float) -> float:
     """Largest x in (0,1] with ``x <= 1 - (1 - c/tau)^(x/c)``, c the ratio
     crossing.  This bounds the total LP mass of heavy edges at any B vertex,

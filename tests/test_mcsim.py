@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from qcmatch import mcsim, oracle
+from qcmatch import engine, mcsim, oracle
 from qcmatch.engine import (
     DistributionCache,
     apx_matching,
+    apx_plan,
     available_edges,
     base_matching,
     greedy_matching,
     simple_matching,
 )
-from qcmatch.instance import RealizationState, make_graph, rng_for_trial
+from qcmatch.instance import RealizationState, generate_instance, make_graph, rng_for_trial
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.transform import TransformParams, g_transform
-from util import random_instance
+from util import matched_prob_closed_form, random_instance
 
 
 def reference_mean(graph, x, algorithm, params, trials, seed):
@@ -143,14 +144,18 @@ def test_apx_two_round_on_many_disjoint_sure_edges(n, x):
     assert np.all(np.abs(np.array(res.edge_match_freq) - q) <= 4 * sd)
 
 
-def test_apx_round2_edge_frequencies_agree_with_engine():
-    # two-round instance whose first round leaves many distinct available
-    # edge sets; the engine walks both rounds, the batch draws round 2
-    g = make_graph(
+def _mixed_3x3():
+    return make_graph(
         3, 3,
         [(0, 0, 1.0, 0.5), (0, 1, 0.9, 0.6), (1, 0, 0.8, 0.7), (1, 2, 1.1, 0.5),
          (2, 1, 0.7, 0.8), (2, 2, 1.0, 0.6), (0, 2, 0.6, 0.9)],
     )
+
+
+def test_apx_round2_edge_frequencies_agree_with_engine():
+    # two-round instance whose first round leaves many distinct available
+    # edge sets; the engine walks both rounds, the batch draws round 2
+    g = _mixed_3x3()
     sol = solve_lp_match(g)
     params = TransformParams()
     cache = DistributionCache(g, sol.x)
@@ -174,3 +179,97 @@ def test_apx_round2_edge_frequencies_agree_with_engine():
     var = freq_ref * (1 - freq_ref) / ref_trials + freq * (1 - freq) / trials
     z = (freq - freq_ref) / np.sqrt(np.maximum(var, 1e-12))
     assert np.all(np.abs(z) <= 4), z
+
+
+@pytest.mark.parametrize("algorithm", ["simple", "alg1", "apx"])
+@pytest.mark.parametrize("x", [[0.3, 0.4, 0.2], [0.3]])
+def test_batch_rejects_x_of_wrong_length(algorithm, x):
+    g = make_graph(2, 2, [(0, 0, 1.0, 0.5), (1, 1, 1.0, 0.5)])
+    with pytest.raises(ValueError, match=f"x has {len(x)} entries but the graph has 2 edges"):
+        mcsim.run_batch(g, x, algorithm, TransformParams(), 100, 0)
+
+
+def _hard_heavy_prune():
+    # the c08 acceptance suite's hard spec #23, which takes the heavy branch
+    g = generate_instance("hard", na=4, nb=4, density=0.4, seed=403)
+    x = solve_lp_match(g).x
+    plan = apx_plan(g, x, TransformParams())
+    assert plan.branch == "heavy-prune"
+    return g, x, plan
+
+
+def _assert_edges_match_closed_form(g, x, sigma, res):
+    trials = res.trials
+    for e in range(len(g.edges)):
+        q = matched_prob_closed_form(g, x, sigma, e)
+        se = np.sqrt(max(q * (1 - q), 1e-12) / trials)
+        assert abs(res.edge_match_freq[e] - q) <= 4 * se, (e, res.edge_match_freq[e], q)
+
+
+@pytest.mark.parametrize("algorithm", ["simple", "alg1"])
+@pytest.mark.parametrize(
+    "model,kw",
+    [("complete", dict(na=3, nb=8, seed=800)), ("uniform", dict(na=12, nb=12, density=0.5, seed=1))],
+)
+def test_law_rounds_beyond_the_permutation_cap_match_closed_form(algorithm, model, kw):
+    # A-vertex LP supports of 8 and 9: no permutation distribution exists
+    # for them, yet these rounds need only the proposal laws
+    g = generate_instance(model, **kw)
+    x = solve_lp_match(g).x
+    params = TransformParams()
+    res = mcsim.run_batch(g, x, algorithm, params, 200000, 41, chunk_size=8192)
+    _assert_edges_match_closed_form(g, x, None if algorithm == "simple" else params.sigma, res)
+
+
+def test_heavy_prune_matches_closed_form():
+    g, x, plan = _hard_heavy_prune()
+    res = mcsim.run_batch(g, x, "apx", TransformParams(), 400000, 43)
+    assert res.branch == "heavy-prune"
+    masked = [x[e] if e in plan.edge_ids else 0.0 for e in range(len(g.edges))]
+    _assert_edges_match_closed_form(g, masked, plan.sigma, res)
+
+
+@pytest.mark.parametrize("algorithm", ["simple", "alg1", "apx"])
+def test_law_round_edge_frequencies_agree_with_engine(algorithm):
+    # the engine walks sampled permutations; the batch draws each vertex's
+    # proposal from its law
+    if algorithm == "apx":
+        g, x, _ = _hard_heavy_prune()
+    else:
+        g = _mixed_3x3()
+        x = solve_lp_match(g).x
+    params = TransformParams()
+    cache = DistributionCache(g, x)
+    ref_trials = 20000
+    freq_ref = np.zeros(len(g.edges))
+    for t in range(ref_trials):
+        rng = rng_for_trial(23, t)
+        st = RealizationState(rng)
+        if algorithm == "simple":
+            run = simple_matching(g, x, st, rng, cache)
+        elif algorithm == "alg1":
+            run = base_matching(g, x, params.sigma, st, rng, cache)
+        else:
+            run = apx_matching(g, x, params, st, rng, cache)
+            assert run.branch == "heavy-prune"
+        freq_ref[list(run.matching)] += 1
+    freq_ref /= ref_trials
+    trials = 200000
+    res = mcsim.run_batch(g, x, algorithm, params, trials, 29)
+    freq = np.array(res.edge_match_freq)
+    var = freq_ref * (1 - freq_ref) / ref_trials + freq * (1 - freq) / trials
+    z = (freq - freq_ref) / np.sqrt(np.maximum(var, 1e-12))
+    assert np.all(np.abs(z) <= 4), z
+
+
+def test_law_rounds_build_no_permutation_distribution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("permutation distribution built")
+
+    monkeypatch.setattr(engine, "build_proportional_distribution", refuse)
+    g, x, _ = _hard_heavy_prune()
+    params = TransformParams()
+    for algorithm in ("simple", "alg1", "apx"):
+        res = mcsim.run_batch(g, x, algorithm, params, 2000, 47)
+        assert res.trials == 2000
+        assert res.branch == ("heavy-prune" if algorithm == "apx" else None)

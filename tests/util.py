@@ -90,17 +90,21 @@ def scaled_lp_x(graph: StochasticGraph, lp_x, sigma: float) -> list[float]:
     return [v * f for v in lp_x]
 
 
-def shrunk_vector(graph: StochasticGraph, x, sigma: float):
+def shrunk_vector(graph: StochasticGraph, x, sigma: float | None):
     """(augmented graph, augmented x, augmented shrunk values) exactly as
-    the base rounding computes them."""
+    the base rounding computes them; ``sigma=None`` is plain proposal
+    rounding (no dummies, shrunk values equal to x)."""
+    if sigma is None:
+        return graph, tuple(x), tuple(float(v) for v in x)
     aug, x_aug = add_dummy_edges(graph, x, sigma)
     xt = tuple(float(g_transform(v, sigma)) for v in x_aug)
     return aug, x_aug, xt
 
 
-def matched_prob_closed_form(graph: StochasticGraph, x, sigma: float, edge_id: int) -> float:
+def matched_prob_closed_form(graph: StochasticGraph, x, sigma: float | None, edge_id: int) -> float:
     """Independent closed form for the probability that an edge joins the
-    matching in one shrink-and-pad round.
+    matching in one shrink-and-pad round (``sigma=None``: one plain
+    proposal round).
 
     Proposals arrive at the edge's B endpoint independently, each with its
     shrunk probability; the edge wins when it proposes and its proposer has
