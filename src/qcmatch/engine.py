@@ -194,6 +194,36 @@ def _compile_round(
     return _Round(aug=aug, x_aug=x_aug, xt_aug=xt_aug, dists=dists)
 
 
+def _vertex_outcomes(rnd: _Round, vertex: int) -> list[tuple[int, frozenset[int], float]]:
+    """Distribution of one vertex's walk outcome: (proposed augmented edge
+    or -1, examined augmented edge set, probability)."""
+    dist = rnd.dists.get(vertex)
+    if dist is None:
+        return [(-1, frozenset(), 1.0)]
+    acc: dict[tuple[int, frozenset[int]], float] = {}
+
+    def put(prop: int, examined: frozenset[int], q: float) -> None:
+        if q <= 0.0:
+            return
+        key = (prop, examined)
+        acc[key] = acc.get(key, 0.0) + q
+
+    for perm, q0 in dist.support:
+        def walk(pos: int, q: float, examined: frozenset[int]) -> None:
+            if pos == len(perm):
+                put(-1, examined, q)
+                return
+            e = perm[pos]
+            p = rnd.aug.edges[e].p
+            r = rnd.xt_aug[e] / rnd.x_aug[e]
+            put(-1, examined, q * p * (1.0 - r))                 # filter ends the walk
+            put(e, examined | {e}, q * r * p)                    # examined and realized
+            walk(pos + 1, q * r * (1.0 - p), examined | {e})     # examined, not realized
+            walk(pos + 1, q * (1.0 - p) * (1.0 - r), examined)   # filtered out
+        walk(0, q0, frozenset())
+    return sorted(((k[0], k[1], v) for k, v in acc.items()), key=lambda t: (t[0], sorted(t[1])))
+
+
 def _proposal_pass(
     graph: StochasticGraph,
     x,

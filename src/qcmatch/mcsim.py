@@ -6,12 +6,16 @@ exactly the shrunk LP value of e (the filtered permutation sampler is built
 for this), independently of the other vertices, and each B vertex accepts
 its min-priority proposer.  So ``simple``, ``alg1`` and heavy-prune ``apx``
 need no permutation walk: every proposer makes one categorical draw over its
-edges per trial, and whole chunks of trials advance in lockstep.  Only
-round 1 of two-round ``apx`` walks sampled permutations, because the edges
-left available for round 2 depend on which edges the walks examined.  Its
+edges per trial, and whole chunks of trials advance in lockstep.  Round 1
+of two-round ``apx`` also needs the examined sets, because they decide
+which edges stay available for round 2, so each of its vertices draws one
+outcome of its walk-outcome law (``engine._vertex_outcomes``: proposed
+edge, examined set, probability).  That law is enumerated from permutation
+distributions, so two-round ``apx`` keeps the A-vertex degree cap.  Its
 second pass at cap 1 is again one draw per proposer: each A vertex proposes
 an available edge e with probability g(x_e, 1) whatever the available set,
-and only each B vertex's dummy depends on the trial.
+and only each B vertex's dummy depends on the trial.  Only the per-trial
+engine walks permutations.
 
 Trials are processed in fixed-size chunks with per-chunk RNG streams derived
 from (master seed, chunk index); chunk partials are reduced in chunk order,
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ApxPlan, DistributionCache, _compile_round, _pad_round, apx_plan
+from .engine import ApxPlan, DistributionCache, _compile_round, _pad_round, _vertex_outcomes, apx_plan
 from .instance import StochasticGraph
 from .transform import TransformParams, g_transform
 
@@ -42,104 +46,41 @@ class BatchResult:
     branch: str | None = None
 
 
-@dataclass
-class _Compiled:
-    """Array form of a walked proposal round over an augmented edge set
-    (original edge ids are the augmented prefix)."""
-
-    n_a: int
-    n_b: int
-    m: int
-    edge_b: np.ndarray
-    edge_w: np.ndarray
-    t_term: np.ndarray           # p (1 - r)
-    t_prop: np.ndarray           # + r p
-    t_app: np.ndarray            # + r (1 - p)
-    vert_cum: list[np.ndarray | None]
-    vert_edges: list[np.ndarray | None]   # (n_cols, max_len) aug ids, -1 pad
-
-
-def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: DistributionCache) -> _Compiled:
+def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: DistributionCache):
+    """A proposal round as each augmented A vertex's walk-outcome law:
+    cumulative masses, the proposed augmented edge (-1 for none), the
+    vertex's incident edge ids and an outcomes x incident examined matrix.
+    Returns (augmented B endpoints, augmented weights, B count, laws)."""
     rnd = _compile_round(graph, x, sigma, edge_ids, cache)
-    aug = rnd.aug
-    m = len(aug.edges)
-    p = np.array([e.p for e in aug.edges])
-    x_aug = np.array(rnd.x_aug)
-    pos = x_aug > 0.0
-    r = np.ones(m)
-    r[pos] = np.minimum(np.array(rnd.xt_aug)[pos] / x_aug[pos], 1.0)
-    t_term = p * (1.0 - r)
-    t_prop = t_term + r * p
-    t_app = t_prop + r * (1.0 - p)
-    vert_cum: list[np.ndarray | None] = []
-    vert_edges: list[np.ndarray | None] = []
-    for v in range(aug.a_count):
-        dist = rnd.dists.get(v)
-        if dist is None:
-            vert_cum.append(None)
-            vert_edges.append(None)
-            continue
-        probs = np.array([q for _, q in dist.support])
-        max_len = max((len(perm) for perm, _ in dist.support), default=0)
-        mat = -np.ones((len(dist.support), max(max_len, 1)), dtype=np.int64)
-        for i, (perm, _) in enumerate(dist.support):
-            for j, e in enumerate(perm):
-                mat[i, j] = e
-        vert_cum.append(np.cumsum(probs))
-        vert_edges.append(mat)
-    return _Compiled(
-        n_a=aug.a_count,
-        n_b=aug.b_count,
-        m=m,
-        edge_b=np.array([e.b for e in aug.edges], dtype=np.int64),
-        edge_w=np.array([e.w for e in aug.edges]),
-        t_term=t_term,
-        t_prop=t_prop,
-        t_app=t_app,
-        vert_cum=vert_cum,
-        vert_edges=vert_edges,
-    )
+    laws = []
+    for v in sorted(rnd.dists):
+        outcomes = _vertex_outcomes(rnd, v)
+        incident = rnd.aug.edges_at_a[v]
+        laws.append((
+            np.cumsum([q for _, _, q in outcomes]),
+            np.array([e for e, _, _ in outcomes], dtype=np.int64),
+            np.array(incident, dtype=np.int64),
+            np.array([[e in examined for e in incident] for _, examined, _ in outcomes], dtype=bool),
+        ))
+    edge_b = np.array([e.b for e in rnd.aug.edges], dtype=np.int64)
+    edge_w = np.array([e.w for e in rnd.aug.edges])
+    return edge_b, edge_w, rnd.aug.b_count, laws
 
 
-def _run_proposal_chunk(comp: _Compiled, n: int, rng: np.random.Generator):
-    """One walked proposal round over ``n`` trials.
+def _run_proposal_chunk(comp, n: int, rng: np.random.Generator):
+    """One proposal round over ``n`` trials: every vertex draws one outcome
+    of its walk-outcome law, then B accepts its min-priority proposer.
 
     Returns (per-trial weight, winner edges (n, n_b), examined flags (n, m)).
     """
-    prio = rng.random((n, comp.n_a))
-    prop = -np.ones((n, comp.n_a), dtype=np.int64)
-    exam = np.zeros((n, comp.m), dtype=bool)
-    for v in range(comp.n_a):
-        cum = comp.vert_cum[v]
-        if cum is None:
-            continue
-        cols = np.searchsorted(cum, rng.random(n), side="right")
-        cols = np.minimum(cols, len(cum) - 1)
-        eids = comp.vert_edges[v][cols]
-        max_len = eids.shape[1]
-        z = rng.random((n, max_len))
-        active = np.ones(n, dtype=bool)
-        for j in range(max_len):
-            e = eids[:, j]
-            walk = active & (e >= 0)
-            if not walk.any():
-                continue
-            zz = z[:, j]
-            esafe = np.maximum(e, 0)
-            t1 = comp.t_term[esafe]
-            t2 = comp.t_prop[esafe]
-            t3 = comp.t_app[esafe]
-            term = walk & (zz <= t1)
-            do_prop = walk & (zz > t1) & (zz <= t2)
-            do_exam = walk & (zz > t2) & (zz <= t3)
-            if do_prop.any():
-                prop[do_prop, v] = e[do_prop]
-                exam[do_prop, e[do_prop]] = True
-            if do_exam.any():
-                exam[do_exam, e[do_exam]] = True
-            active &= ~(term | do_prop)
-
-    weights, win = _accept(prop, prio, comp.edge_b, comp.edge_w, comp.n_b)
+    edge_b, edge_w, n_b, laws = comp
+    prop = np.empty((n, len(laws)), dtype=np.int64)
+    exam = np.zeros((n, len(edge_b)), dtype=bool)
+    for i, (cum, target, incident, examined) in enumerate(laws):
+        k = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
+        prop[:, i] = target[k]
+        exam[:, incident] = examined[k]
+    weights, win = _accept(prop, rng.random((n, len(laws))), edge_b, edge_w, n_b)
     return weights, win, exam
 
 
@@ -218,9 +159,9 @@ def _round_law(graph: StochasticGraph, props: _Proposers, x, sigma: float | None
 
 
 class _ApxContext:
-    """Compiled state of two-round apx: round 1 as a walk kernel, because
-    the edges left available depend on the examined sets, and round 2 as a
-    draw from per-edge proposal laws."""
+    """Compiled state of two-round apx: round 1 as a draw from per-vertex
+    walk-outcome laws, because the edges left available depend on the
+    examined sets, and round 2 as a draw from per-edge proposal laws."""
 
     def __init__(self, graph: StochasticGraph, x, plan: ApxPlan):
         self.graph = graph

@@ -16,7 +16,9 @@ Two oracles live here:
   proposal, the first-proposer factor at a B vertex with m proposers is
   1/m, and the not-first factor (m-1)/m.  We therefore enumerate the joint
   per-vertex outcomes as a product measure and attach per-B order factors,
-  which is exact and cheap at the supported sizes.
+  which is exact and cheap at the supported sizes.  Each vertex's outcome
+  law comes from ``engine._vertex_outcomes``, the same law from which
+  ``mcsim`` draws round 1 of two-round ``apx``.
 
 Monte Carlo estimates come from ``mcsim.run_batch``.
 """
@@ -28,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import DistributionCache, _compile_round
+from .engine import DistributionCache, _compile_round, _vertex_outcomes
 from .instance import StochasticGraph
 
 #: enumeration refuses to build joint tables beyond this many entries
@@ -38,7 +40,7 @@ DEFAULT_BUDGET = 10**8
 CONDITION_MASS_FLOOR = 1e-12
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(ValueError):
     pass
 
 
@@ -144,36 +146,6 @@ def expected_opt_exact(graph: StochasticGraph) -> float:
 # ---------------------------------------------------------------------------
 # Exact event probabilities for one proposal round
 # ---------------------------------------------------------------------------
-
-def _vertex_outcomes(rnd, vertex: int) -> list[tuple[int, frozenset[int], float]]:
-    """Distribution of one vertex's walk outcome: (proposed augmented edge
-    or -1, examined augmented edge set, probability)."""
-    dist = rnd.dists.get(vertex)
-    if dist is None:
-        return [(-1, frozenset(), 1.0)]
-    acc: dict[tuple[int, frozenset[int]], float] = {}
-
-    def put(prop: int, examined: frozenset[int], q: float) -> None:
-        if q <= 0.0:
-            return
-        key = (prop, examined)
-        acc[key] = acc.get(key, 0.0) + q
-
-    for perm, q0 in dist.support:
-        def walk(pos: int, q: float, examined: frozenset[int]) -> None:
-            if pos == len(perm):
-                put(-1, examined, q)
-                return
-            e = perm[pos]
-            p = rnd.aug.edges[e].p
-            r = rnd.xt_aug[e] / rnd.x_aug[e]
-            put(-1, examined, q * p * (1.0 - r))                 # filter ends the walk
-            put(e, examined | {e}, q * r * p)                    # examined and realized
-            walk(pos + 1, q * r * (1.0 - p), examined | {e})     # examined, not realized
-            walk(pos + 1, q * (1.0 - p) * (1.0 - r), examined)   # filtered out
-        walk(0, q0, frozenset())
-    return sorted(((k[0], k[1], v) for k, v in acc.items()), key=lambda t: (t[0], sorted(t[1])))
-
 
 @dataclass
 class _JointTable:

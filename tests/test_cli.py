@@ -122,3 +122,16 @@ def test_outputs_reproducible(tmp_path):
                 "--out", str(rep))
         paths.append((inst.read_bytes(), sol.read_bytes(), rep.read_bytes()))
     assert paths[0] == paths[1]
+
+
+def test_oracle_budget_error_is_a_usage_error(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    out = tmp_path / "o.json"
+    run_cli("gen", "--model", "complete", "--na", "5", "--nb", "5", "--seed", "3",
+            "--out", str(inst))
+    capsys.readouterr()
+    assert run_cli("oracle", "--instance", str(inst), "--events", "lemma7",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "joint table would exceed" in err
+    assert "Traceback" not in err

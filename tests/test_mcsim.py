@@ -273,3 +273,36 @@ def test_law_rounds_build_no_permutation_distribution(monkeypatch):
         res = mcsim.run_batch(g, x, algorithm, params, 2000, 47)
         assert res.trials == 2000
         assert res.branch == ("heavy-prune" if algorithm == "apx" else None)
+
+
+def test_round1_draw_at_the_support_cap_agrees_with_engine():
+    # both A supports are 7 (the cap) and vertex 0 has 303 walk outcomes;
+    # the engine walks round 1, the batch draws one outcome per vertex
+    g = generate_instance("complete", na=2, nb=7, seed=5)
+    x = solve_lp_match(g).x
+    plan = apx_plan(g, x, TransformParams())
+    assert plan.branch == "two-round"
+    cache = DistributionCache(g, x)
+    m = len(g.edges)
+    ref_trials = 20000
+    matched_ref = np.zeros(m)
+    examined_ref = np.zeros(m)
+    for t in range(ref_trials):
+        rng = rng_for_trial(31, t)
+        run = base_matching(g, x, plan.sigma, RealizationState(rng), rng, cache, edge_subset=plan.edge_ids)
+        matched_ref[list(run.matching)] += 1
+        examined_ref += np.array(run.edge_log) != engine.UNEXAMINED
+    trials = 200000
+    comp = mcsim._compile_arrays(g, x, plan.sigma, plan.edge_ids, cache)
+    _, win, exam = mcsim._run_proposal_chunk(comp, trials, np.random.default_rng(37))
+    for hits_ref, hits in (
+        (matched_ref, mcsim._count_matches(win, m)),
+        (examined_ref, exam[:, :m].sum(axis=0)),
+    ):
+        # pooled two-proportion z: some edges are matched about once in
+        # 2,000 trials, where a variance estimated from the reference's few
+        # hits alone overstates z
+        pooled = (hits_ref + hits) / (ref_trials + trials)
+        var = pooled * (1 - pooled) * (1 / ref_trials + 1 / trials)
+        z = (hits / trials - hits_ref / ref_trials) / np.sqrt(np.maximum(var, 1e-12))
+        assert np.all(np.abs(z) <= 4), z
