@@ -10,15 +10,21 @@ Two oracles live here:
   per-vertex events under one proposal round.  A vertex's walk is a finite
   branching process (base permutation choice, the three-way filter branch,
   the realization coin of each examined edge), independent across vertices;
-  the uniform A-order only matters through which proposer is first at each
-  B vertex.  Ranks of disjoint proposer sets are independent under a
-  uniform order, so order integrates out analytically: given everyone's
-  proposal, the first-proposer factor at a B vertex with m proposers is
-  1/m, and the not-first factor (m-1)/m.  We therefore enumerate the joint
-  per-vertex outcomes as a product measure and attach per-B order factors,
-  which is exact and cheap at the supported sizes.  Each vertex's outcome
-  law comes from ``engine._vertex_outcomes``, the same law from which
-  ``mcsim`` draws round 1 of two-round ``apx``.
+  its outcome law comes from ``engine._vertex_outcomes``, the same law from
+  which ``mcsim`` draws round 1 of two-round ``apx``.  The uniform A-order
+  only matters through which proposer is first at each B vertex; ranks of
+  disjoint proposer sets are independent under a uniform order, so given
+  everyone's proposal the first-proposer factor at a B vertex with m
+  proposers is 1/m, and the not-first factor (m-1)/m.
+
+  Every reported quantity is the probability of one conjunction of atoms.
+  Only the A vertices that a conjunction names (at most two in every
+  bundle) are enumerated, as a product table of their outcomes.  Every
+  other vertex, dummies included, enters through its proposal law, and
+  the number of them proposing at a B vertex that carries an order factor
+  comes from a DP over proposer counts.  So nothing is exponential in the
+  vertex count; one vertex's outcome list is bounded by the permutation
+  support cap.
 
 Monte Carlo estimates come from ``mcsim.run_batch``.
 """
@@ -33,15 +39,8 @@ import numpy as np
 from .engine import DistributionCache, _compile_round, _vertex_outcomes
 from .instance import StochasticGraph
 
-#: enumeration refuses to build joint tables beyond this many entries
-DEFAULT_BUDGET = 10**8
-
 #: conditioning events with less mass than this are reported as undefined
 CONDITION_MASS_FLOOR = 1e-12
-
-
-class EnumerationBudgetError(ValueError):
-    pass
 
 
 class SizeCapError(ValueError):
@@ -149,122 +148,141 @@ def expected_opt_exact(graph: StochasticGraph) -> float:
 
 @dataclass
 class _JointTable:
-    """Product measure over all vertices' outcomes with per-B proposer
-    counts; everything vectorized over the joint index."""
+    """Product measure over the walk outcomes of a few named vertices; one
+    row per joint outcome."""
 
     mass: np.ndarray          # (N,)
-    prop: np.ndarray          # (N, n_a_aug) proposed aug edge or -1
+    prop: np.ndarray          # (N, len(vertices)) proposed aug edge or -1
     exam: np.ndarray          # (N, m_aug) bool
-    m_count: np.ndarray       # (N, n_b) proposers per B vertex
-    edge_b: np.ndarray        # (m_aug,)
-    aug_a: np.ndarray         # (m_aug,) augmented A endpoint per edge
 
 
-def _build_joint(graph: StochasticGraph, rnd, budget: int) -> _JointTable:
-    aug = rnd.aug
-    n_a, n_b, m_aug = aug.a_count, aug.b_count, len(aug.edges)
-    outs = [_vertex_outcomes(rnd, v) for v in range(n_a)]
-    total = 1
-    for o in outs:
-        total *= len(o)
-        if total > budget:
-            raise EnumerationBudgetError(f"joint table would exceed {budget} entries")
-
+def _build_joint(rnd, outcomes, vertices) -> _JointTable:
+    m_aug = len(rnd.aug.edges)
     mass = np.ones(1)
-    prop = -np.ones((1, n_a), dtype=np.int64)
+    prop = np.zeros((1, 0), dtype=np.int64)
     exam = np.zeros((1, m_aug), dtype=bool)
-    m_count = np.zeros((1, n_b), dtype=np.int64)
-    edge_b = np.array([e.b for e in aug.edges], dtype=np.int64)
-    for v, out in enumerate(outs):
-        k = len(out)
-        n = len(mass)
-        probs = np.array([q for _, _, q in out])
-        targets = np.array([t for t, _, _ in out], dtype=np.int64)
+    for v in vertices:
+        out = outcomes[v]
+        k, n = len(out), len(mass)
         bits = np.zeros((k, m_aug), dtype=bool)
         for i, (_, ex, _) in enumerate(out):
             for e in ex:
                 bits[i, e] = True
-        mass = np.repeat(mass, k) * np.tile(probs, n)
-        prop = np.repeat(prop, k, axis=0)
-        prop[:, v] = np.tile(targets, n)
+        mass = np.repeat(mass, k) * np.tile([q for _, _, q in out], n)
+        targets = np.tile(np.array([t for t, _, _ in out], dtype=np.int64), n)
+        prop = np.column_stack((np.repeat(prop, k, axis=0), targets))
         exam = np.repeat(exam, k, axis=0) | np.tile(bits, (n, 1))
-        m_count = np.repeat(m_count, k, axis=0)
-        tgt = prop[:, v]
-        has = tgt >= 0
-        np.add.at(m_count, (np.nonzero(has)[0], edge_b[tgt[has]]), 1)
-    aug_a = np.array([e.a for e in aug.edges], dtype=np.int64)
-    return _JointTable(mass=mass, prop=prop, exam=exam, m_count=m_count,
-                       edge_b=edge_b, aug_a=aug_a)
+    return _JointTable(mass=mass, prop=prop, exam=exam)
 
 
-def _not_first_factor(jt: _JointTable, vertex: int) -> np.ndarray:
-    """P[this vertex's proposal is not first at its target | joint outcome];
-    1 where it proposes nothing."""
-    tgt = jt.prop[:, vertex]
-    has = tgt >= 0
-    f = np.ones(len(jt.mass))
-    mm = jt.m_count[np.nonzero(has)[0], jt.edge_b[tgt[has]]].astype(float)
-    f[has] = (mm - 1.0) / mm
-    return f
+class _Evaluator:
+    """Probability of a conjunction of atoms under one compiled round.
 
+    Unnamed vertices w enter through ``pi[w, u]``, their probability of
+    proposing to B vertex u.  The ``b_unmatched`` atoms' B vertices Z cost
+    prod_w (1 - pi_w(Z)) and leave w independent with law
+    pi_w(u) / (1 - pi_w(Z)).  An order factor at a B vertex with k named
+    and c unnamed proposers is 1/(k+c) for the winner and (k+c-1)/(k+c)
+    for a loser, averaged over the law of c.
+    """
 
-def _atom_value(jt: _JointTable, atom: Atom, order_vertices: set[int]) -> np.ndarray:
-    """Per-joint-outcome value of one atom: an indicator, possibly times an
-    order factor.  ``order_vertices`` collects the B vertices carrying order
-    factors so accidental dependent combinations fail loudly."""
-    kind = atom[0]
-    if kind == "examined":
-        return jt.exam[:, atom[1]].astype(float)
-    if kind == "not_examined":
-        return 1.0 - jt.exam[:, atom[1]]
-    if kind == "b_unmatched":
-        return (jt.m_count[:, atom[1]] == 0).astype(float)
-    if kind == "a_unmatched":
-        v = atom[1]
-        tgt = jt.prop[:, v]
-        has = tgt >= 0
-        bs = set(np.unique(jt.edge_b[tgt[has]]).tolist())
-        if bs & order_vertices:
+    def __init__(self, rnd) -> None:
+        aug = rnd.aug
+        self.rnd = rnd
+        self.edge_a = [e.a for e in aug.edges]
+        # a trailing -1 so that indexing with "no proposal" (-1) yields -1
+        self.edge_b = np.array([e.b for e in aug.edges] + [-1], dtype=np.int64)
+        self.outcomes = [_vertex_outcomes(rnd, v) for v in range(aug.a_count)]
+        self.pi = np.zeros((aug.a_count, aug.b_count))
+        for v, out in enumerate(self.outcomes):
+            for t, _, q in out:
+                if t >= 0:
+                    self.pi[v, self.edge_b[t]] += q
+        self._laws: dict[tuple, np.ndarray] = {}
+
+    def _named(self, atom: Atom) -> int | None:
+        kind = atom[0]
+        if kind in ("matched", "examined", "not_examined"):
+            return self.edge_a[atom[1]]
+        if kind in ("a_unmatched", "proposed", "not_proposed", "beaten_proposal"):
+            return atom[1]
+        if kind == "b_unmatched":
+            return None
+        raise ValueError(f"unknown atom {atom!r}")
+
+    def probability(self, conj: Conj) -> float:
+        owners = [self._named(atom) for atom in conj]
+        named = tuple(sorted({v for v in owners if v is not None}))
+        col = {v: i for i, v in enumerate(named)}
+        zero = tuple(sorted({atom[1] for atom in conj if atom[0] == "b_unmatched"}))
+        unnamed = np.ones(len(self.pi), dtype=bool)
+        unnamed[list(named)] = False
+        scale = float(np.prod(1.0 - self.pi[unnamed][:, list(zero)].sum(axis=1)))
+        jt = _build_joint(self.rnd, self.outcomes, named)
+        prop_b = self.edge_b[jt.prop]
+        val = jt.mass * ~np.isin(prop_b, zero).any(axis=1)
+        factors = []  # (B vertex per row or -1, wins)
+        for atom, owner in zip(conj, owners):
+            if owner is None:  # b_unmatched, handled through zero
+                continue
+            kind, i = atom[0], col[owner]
+            if kind == "examined":
+                val = val * jt.exam[:, atom[1]]
+            elif kind == "not_examined":
+                val = val * ~jt.exam[:, atom[1]]
+            elif kind == "matched":
+                val = val * (jt.prop[:, i] == atom[1])
+                factors.append((np.full(len(val), self.edge_b[atom[1]]), True))
+            elif kind == "a_unmatched":
+                factors.append((prop_b[:, i], False))
+            else:  # proposed, not_proposed, beaten_proposal
+                hit = prop_b[:, i] == atom[2]
+                val = val * (~hit if kind == "not_proposed" else hit)
+                if kind == "beaten_proposal":
+                    factors.append((np.full(len(val), atom[2]), False))
+        if not factors or scale == 0.0:
+            return scale * float(val.sum())
+        live = val > 0.0
+        us = np.column_stack([u[live] for u, _ in factors])
+        ks = np.column_stack([(prop_b[live] == u[:, None]).sum(axis=1) for u in us.T])
+        keys, inverse = np.unique(np.hstack((us, ks)), axis=0, return_inverse=True)
+        wins = [w for _, w in factors]
+        expect = [self._order_factor(named, zero, key, wins) for key in keys]
+        return scale * float(np.dot(val[live], np.array(expect)[inverse.ravel()]))
+
+    def _order_factor(self, named, zero, key, wins) -> float:
+        """E[product of order factors] for one row's (B vertices, named
+        proposer counts); a factor at B vertex -1 (no proposal) is 1."""
+        n = len(wins)
+        active = sorted((int(key[j]), int(key[n + j]), wins[j]) for j in range(n) if key[j] >= 0)
+        us = tuple(u for u, _, _ in active)
+        if len(set(us)) < len(us):
             raise NotImplementedError("two order factors on one B vertex")
-        order_vertices.update(bs)
-        return _not_first_factor(jt, v)
-    if kind == "matched":
-        e = atom[1]
-        v = int(jt.aug_a[e])
-        u = int(jt.edge_b[e])
-        if u in order_vertices:
-            raise NotImplementedError("two order factors on one B vertex")
-        order_vertices.add(u)
-        ind = jt.prop[:, v] == e
-        mm = np.where(jt.m_count[:, u] > 0, jt.m_count[:, u], 1).astype(float)
-        return ind / mm
-    if kind == "proposed":
-        v, u = atom[1], atom[2]
-        tgt = jt.prop[:, v]
-        return ((tgt >= 0) & (jt.edge_b[np.maximum(tgt, 0)] == u)).astype(float)
-    if kind == "not_proposed":
-        v, u = atom[1], atom[2]
-        tgt = jt.prop[:, v]
-        return 1.0 - ((tgt >= 0) & (jt.edge_b[np.maximum(tgt, 0)] == u))
-    if kind == "beaten_proposal":
-        # v proposes to u and some earlier vertex in the A-order already
-        # proposed to u, i.e. v is not first there
-        v, u = atom[1], atom[2]
-        if u in order_vertices:
-            raise NotImplementedError("two order factors on one B vertex")
-        order_vertices.add(u)
-        tgt = jt.prop[:, v]
-        ind = (tgt >= 0) & (jt.edge_b[np.maximum(tgt, 0)] == u)
-        return ind * _not_first_factor(jt, v)
-    raise ValueError(f"unknown atom {atom!r}")
+        law = self._count_law(named, zero, us)
+        f = 1.0
+        for (_, k, win), c in zip(active, np.ix_(*map(np.arange, law.shape))):
+            f = f * (1.0 / (k + c) if win else (k + c - 1.0) / (k + c))
+        return float((law * f).sum())
 
-
-def _conj_value(jt: _JointTable, conj: Conj) -> np.ndarray:
-    order_vertices: set[int] = set()
-    val = np.ones(len(jt.mass))
-    for atom in conj:
-        val = val * _atom_value(jt, atom, order_vertices)
-    return val
+    def _count_law(self, named, zero, us) -> np.ndarray:
+        """Joint law of the unnamed proposer counts at the B vertices
+        ``us``, given that no unnamed vertex proposes into ``zero``."""
+        key = (named, zero, us)
+        law = self._laws.get(key)
+        if law is not None:
+            return law
+        law = np.ones((1,) * len(us))
+        near = self.pi[:, list(us)]
+        for w in np.nonzero(near.sum(axis=1) > 0.0)[0]:
+            if w in named:
+                continue
+            p = near[w] / (1.0 - self.pi[w, list(zero)].sum())
+            grown = np.pad(law, [(0, 1 if q > 0.0 else 0) for q in p])
+            law = grown * (1.0 - p.sum())
+            for axis in np.nonzero(p)[0]:
+                law += p[axis] * np.roll(grown, 1, axis=axis)
+        self._laws[key] = law
+        return law
 
 
 def exact_event_probabilities(
@@ -274,7 +292,6 @@ def exact_event_probabilities(
     conditionals: Sequence[ConditionalKey] = (),
     *,
     algorithm: str = "alg1",
-    budget: int = DEFAULT_BUDGET,
 ) -> ExactEventReport:
     """Exact event report for one round of the proposal rounding.
 
@@ -292,50 +309,24 @@ def exact_event_probabilities(
     cache = DistributionCache(graph, x)
     eff_sigma = None if algorithm == "simple" else float(sigma if sigma is not None else 1.0)
     rnd = _compile_round(graph, x, eff_sigma, range(len(graph.edges)), cache)
-    jt = _build_joint(graph, rnd, budget)
+    prob = _Evaluator(rnd).probability
 
-    m = len(graph.edges)
-    mass = jt.mass
-    edge_matched = []
-    edge_examined = []
-    edge_available = []
-    for e in range(m):  # original edges are the augmented prefix
-        u = int(jt.edge_b[e])
-        v = int(jt.aug_a[e])
-        ind = jt.prop[:, v] == e
-        mm = np.where(jt.m_count[:, u] > 0, jt.m_count[:, u], 1).astype(float)
-        edge_matched.append(float(np.dot(mass, ind / mm)))
-        edge_examined.append(float(np.dot(mass, jt.exam[:, e])))
-        free_u = jt.m_count[:, u] == 0
-        avail = (1.0 - jt.exam[:, e]) * free_u * _not_first_factor(jt, v)
-        edge_available.append(float(np.dot(mass, avail)))
-    a_unmatched = [
-        float(np.dot(mass, _not_first_factor(jt, v))) for v in range(graph.a_count)
-    ]
-    b_unmatched = [
-        float(np.dot(mass, (jt.m_count[:, u] == 0).astype(float)))
-        for u in range(graph.b_count)
-    ]
-    expected_weight = float(
-        sum(graph.edges[e].w * edge_matched[e] for e in range(m))
-    )
-
+    edge_matched = [prob((("matched", e.id),)) for e in graph.edges]
     conds: dict[ConditionalKey, float | None] = {}
     for target, given in conditionals:
-        given_val = _conj_value(jt, tuple(given))
-        denom = float(np.dot(mass, given_val))
-        if denom < CONDITION_MASS_FLOOR:
-            conds[(tuple(target), tuple(given))] = None
-            continue
-        joint_val = _conj_value(jt, tuple(target) + tuple(given))
-        conds[(tuple(target), tuple(given))] = float(np.dot(mass, joint_val)) / denom
+        key = (tuple(target), tuple(given))
+        denom = prob(key[1])
+        conds[key] = None if denom < CONDITION_MASS_FLOOR else prob(key[0] + key[1]) / denom
     return ExactEventReport(
         edge_matched=tuple(edge_matched),
-        edge_examined=tuple(edge_examined),
-        edge_available=tuple(edge_available),
-        a_unmatched=tuple(a_unmatched),
-        b_unmatched=tuple(b_unmatched),
-        expected_weight=expected_weight,
+        edge_examined=tuple(prob((("examined", e.id),)) for e in graph.edges),
+        edge_available=tuple(
+            prob((("not_examined", e.id), ("b_unmatched", e.b), ("a_unmatched", e.a)))
+            for e in graph.edges
+        ),
+        a_unmatched=tuple(prob((("a_unmatched", v),)) for v in range(graph.a_count)),
+        b_unmatched=tuple(prob((("b_unmatched", u),)) for u in range(graph.b_count)),
+        expected_weight=float(sum(e.w * q for e, q in zip(graph.edges, edge_matched))),
         conditionals=conds,
     )
 

@@ -155,24 +155,18 @@ def heavy_degree_bound(tau: float) -> float:
     """
     if not (0.75 <= tau < 1.0):
         raise ValueError(f"tau must lie in [3/4,1), got {tau}")
-    c = ratio_crossing(tau)
-    base = 1.0 - c / tau
-
-    def gap(x: float) -> float:
-        return x - 1.0 + base ** (x / c)
-
     hi = 1.0
-    if gap(hi) <= 0.0:  # cannot happen for tau in range; guards the bracket
+    if fixed_point_gap(hi, tau) <= 0.0:  # cannot happen for tau in range; guards the bracket
         return 1.0
     lo = hi
-    while gap(lo) > 0.0:
+    while fixed_point_gap(lo, tau) > 0.0:
         lo -= 0.01
         if lo <= 0.0:
             raise ArithmeticError("no sign change found bracketing from above")
     hi = lo + 0.01
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
+        if fixed_point_gap(mid, tau) <= 0.0:
             lo = mid
         else:
             hi = mid

@@ -124,14 +124,17 @@ def test_outputs_reproducible(tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_oracle_budget_error_is_a_usage_error(tmp_path, capsys):
+def test_oracle_complete_5x5_succeeds(tmp_path):
     inst = tmp_path / "i.json"
     out = tmp_path / "o.json"
     run_cli("gen", "--model", "complete", "--na", "5", "--nb", "5", "--seed", "3",
             "--out", str(inst))
-    capsys.readouterr()
     assert run_cli("oracle", "--instance", str(inst), "--events", "lemma7",
-                   "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert "joint table would exceed" in err
-    assert "Traceback" not in err
+                   "--out", str(out)) == 0
+    edges = json.loads(inst.read_text())["edges"]
+    data = json.loads(out.read_text())
+    for v in range(5):
+        total = data["a_unmatched"][v] + sum(
+            q for e, q in zip(edges, data["edge_matched"]) if e["a"] == v
+        )
+        assert abs(total - 1.0) <= 1e-9

@@ -14,7 +14,7 @@ from qcmatch.engine import (
 from qcmatch.instance import RealizationState, generate_instance, make_graph, rng_for_trial
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.transform import TransformParams, g_transform
-from util import matched_prob_closed_form, random_instance
+from util import matched_prob_closed_form, random_instance, two_proportion_z
 
 
 def reference_mean(graph, x, algorithm, params, trials, seed):
@@ -166,18 +166,16 @@ def test_apx_round2_edge_frequencies_agree_with_engine():
         run1 = base_matching(g, sol.x, 1.0, RealizationState(rng), rng, cache)
         avail_sets.add(available_edges(g, run1))
     assert len(avail_sets) >= 20
-    freq_ref = np.zeros(len(g.edges))
+    hits_ref = np.zeros(len(g.edges))
     for t in range(ref_trials):
         rng = rng_for_trial(17, t)
         run = apx_matching(g, sol.x, params, RealizationState(rng), rng, cache)
         assert run.branch == "two-round"
-        freq_ref[list(run.matching)] += 1
-    freq_ref /= ref_trials
+        hits_ref[list(run.matching)] += 1
     trials = 200000
     res = mcsim.run_batch(g, sol.x, "apx", params, trials, 19)
-    freq = np.array(res.edge_match_freq)
-    var = freq_ref * (1 - freq_ref) / ref_trials + freq * (1 - freq) / trials
-    z = (freq - freq_ref) / np.sqrt(np.maximum(var, 1e-12))
+    hits = np.array(res.edge_match_freq) * trials
+    z = two_proportion_z(hits_ref, ref_trials, hits, trials)
     assert np.all(np.abs(z) <= 4), z
 
 
@@ -241,7 +239,7 @@ def test_law_round_edge_frequencies_agree_with_engine(algorithm):
     params = TransformParams()
     cache = DistributionCache(g, x)
     ref_trials = 20000
-    freq_ref = np.zeros(len(g.edges))
+    hits_ref = np.zeros(len(g.edges))
     for t in range(ref_trials):
         rng = rng_for_trial(23, t)
         st = RealizationState(rng)
@@ -252,13 +250,11 @@ def test_law_round_edge_frequencies_agree_with_engine(algorithm):
         else:
             run = apx_matching(g, x, params, st, rng, cache)
             assert run.branch == "heavy-prune"
-        freq_ref[list(run.matching)] += 1
-    freq_ref /= ref_trials
+        hits_ref[list(run.matching)] += 1
     trials = 200000
     res = mcsim.run_batch(g, x, algorithm, params, trials, 29)
-    freq = np.array(res.edge_match_freq)
-    var = freq_ref * (1 - freq_ref) / ref_trials + freq * (1 - freq) / trials
-    z = (freq - freq_ref) / np.sqrt(np.maximum(var, 1e-12))
+    hits = np.array(res.edge_match_freq) * trials
+    z = two_proportion_z(hits_ref, ref_trials, hits, trials)
     assert np.all(np.abs(z) <= 4), z
 
 
@@ -299,10 +295,5 @@ def test_round1_draw_at_the_support_cap_agrees_with_engine():
         (matched_ref, mcsim._count_matches(win, m)),
         (examined_ref, exam[:, :m].sum(axis=0)),
     ):
-        # pooled two-proportion z: some edges are matched about once in
-        # 2,000 trials, where a variance estimated from the reference's few
-        # hits alone overstates z
-        pooled = (hits_ref + hits) / (ref_trials + trials)
-        var = pooled * (1 - pooled) * (1 / ref_trials + 1 / trials)
-        z = (hits / trials - hits_ref / ref_trials) / np.sqrt(np.maximum(var, 1e-12))
+        z = two_proportion_z(hits_ref, ref_trials, hits, trials)
         assert np.all(np.abs(z) <= 4), z

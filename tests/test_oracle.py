@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qcmatch import mcsim, oracle
-from qcmatch.instance import make_graph
+from qcmatch.instance import generate_instance, make_graph
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.oracle import (
-    EnumerationBudgetError,
+    CONDITION_MASS_FLOOR,
     SizeCapError,
     exact_event_probabilities,
     expected_opt_exact,
@@ -16,6 +16,7 @@ from qcmatch.oracle import (
 from qcmatch.transform import TransformParams
 from util import (
     b_unmatched_closed_form,
+    brute_probability,
     matched_prob_closed_form,
     random_feasible_x,
     random_instance,
@@ -137,11 +138,67 @@ def test_conditional_undefined_when_mass_zero():
     assert val is None
 
 
-def test_budget_guard():
+def _assert_a_side_partition(g, rep, tol):
+    for v in range(g.a_count):
+        total = rep.a_unmatched[v] + sum(rep.edge_matched[e] for e in g.edges_at_a[v])
+        assert total == pytest.approx(1.0, abs=tol)
+
+
+def test_complete_3x3_has_no_size_refusal():
     g = make_graph(3, 3, [(a, b, 1.0, 0.5) for a in range(3) for b in range(3)])
     x = random_feasible_x(g, np.random.default_rng(0), sigma=1.0)
-    with pytest.raises(EnumerationBudgetError):
-        exact_event_probabilities(g, x, 1.0, budget=10)
+    rep = exact_event_probabilities(g, x, 1.0)
+    _assert_a_side_partition(g, rep, 1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, None], ids=["sigma1", "sigma0.5", "simple"])
+def test_events_match_brute_force_enumeration(sigma):
+    # every field and every "all"-bundle conditional against the joint
+    # enumeration of all augmented A vertices and all accepted proposers
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        g = random_instance(rng, max_a=3, max_b=3, max_edges=5)
+        x = random_feasible_x(g, rng, sigma=sigma or 1.0)
+        conds = oracle.conditional_bundles(g, "all")
+        rep = exact_event_probabilities(
+            g, x, sigma, conds, algorithm="simple" if sigma is None else "alg1"
+        )
+
+        def brute(*atoms):
+            return brute_probability(g, x, sigma, atoms)
+
+        fields = [
+            (rep.edge_matched, [brute(("matched", e.id)) for e in g.edges]),
+            (rep.edge_examined, [brute(("examined", e.id)) for e in g.edges]),
+            (rep.edge_available, [
+                brute(("not_examined", e.id), ("b_unmatched", e.b), ("a_unmatched", e.a))
+                for e in g.edges
+            ]),
+            (rep.a_unmatched, [brute(("a_unmatched", v)) for v in range(g.a_count)]),
+            (rep.b_unmatched, [brute(("b_unmatched", u)) for u in range(g.b_count)]),
+        ]
+        for got, want in fields:
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
+        for (target, given), got in rep.conditionals.items():
+            denom = brute(*given)
+            if denom < CONDITION_MASS_FLOOR:
+                assert got is None
+            else:
+                assert got == pytest.approx(brute(*target, *given) / denom, abs=1e-12)
+
+
+def test_c08_instance_7_events():
+    # the 16-edge c08 acceptance instance: a joint table over every vertex
+    # did not fit in memory
+    g = generate_instance("uniform", na=5, nb=6, density=0.45, seed=201)
+    x = solve_lp_match(g).x
+    conds = oracle.conditional_bundles(g, "lemma7") + oracle.conditional_bundles(g, "lemma8")
+    rep = exact_event_probabilities(g, x, 1.0, conds)
+    _assert_a_side_partition(g, rep, 1e-12)
+    for e in range(len(g.edges)):
+        assert rep.edge_matched[e] == pytest.approx(matched_prob_closed_form(g, x, 1.0, e), abs=1e-9)
+    for u in range(g.b_count):
+        assert rep.b_unmatched[u] == pytest.approx(b_unmatched_closed_form(g, x, 1.0, u), abs=1e-9)
 
 
 def test_monte_carlo_deterministic_instance():

@@ -1,12 +1,17 @@
 """Shared test helpers: random tiny instances, random feasible LP vectors,
-and closed-form cross-checks independent of the library's own oracles."""
+closed-form and brute-force cross-checks independent of the library's own
+oracles, and the pooled two-proportion z of the sampler agreement tests."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 
+from qcmatch.engine import DistributionCache, _compile_round, _vertex_outcomes
 from qcmatch.instance import StochasticGraph, make_graph
 from qcmatch.lpmatch import constraint_rhs
 from qcmatch.transform import add_dummy_edges, g_transform
@@ -90,6 +95,16 @@ def scaled_lp_x(graph: StochasticGraph, lp_x, sigma: float) -> list[float]:
     return [v * f for v in lp_x]
 
 
+def two_proportion_z(hits_ref, n_ref: int, hits, n: int) -> np.ndarray:
+    """Pooled two-proportion z of ``hits / n`` against ``hits_ref / n_ref``
+    (elementwise).  The variance comes from the pooled hit rate, so an
+    event that one side saw only a few times does not overstate |z|."""
+    hits_ref, hits = np.asarray(hits_ref, dtype=float), np.asarray(hits, dtype=float)
+    pooled = (hits_ref + hits) / (n_ref + n)
+    var = pooled * (1 - pooled) * (1 / n_ref + 1 / n)
+    return (hits / n - hits_ref / n_ref) / np.sqrt(np.maximum(var, 1e-12))
+
+
 def shrunk_vector(graph: StochasticGraph, x, sigma: float | None):
     """(augmented graph, augmented x, augmented shrunk values) exactly as
     the base rounding computes them; ``sigma=None`` is plain proposal
@@ -164,3 +179,62 @@ def _accumulate_stops(graph, perm, mass, stop):
     for e in perm:
         stop[e] += mass * alive * graph.edges[e].p
         alive *= 1.0 - graph.edges[e].p
+
+
+def brute_probability(graph: StochasticGraph, x, sigma: float | None, conj) -> float:
+    """Reference for ``oracle.exact_event_probabilities``: P[conjunction of
+    atoms] in one round (``sigma=None``: plain proposal rounding), by
+    enumerating every joint walk outcome of all augmented A vertices and,
+    for each, every accepted proposer at each B vertex.  Under a uniform
+    A-order the accepted proposer is uniform among the vertex's proposers,
+    independently across B vertices."""
+    aug, worlds = _brute_worlds(graph, tuple(x), sigma)
+
+    def holds(atom, target, examined, accepted) -> bool:
+        kind = atom[0]
+        if kind == "matched":
+            e = aug.edges[atom[1]]
+            return target[e.a] == e.b and accepted.get(e.b) == e.a
+        if kind == "examined":
+            return atom[1] in examined
+        if kind == "not_examined":
+            return atom[1] not in examined
+        if kind == "a_unmatched":
+            return accepted.get(target[atom[1]]) != atom[1]
+        if kind == "b_unmatched":
+            return atom[1] not in accepted
+        if kind == "proposed":
+            return target[atom[1]] == atom[2]
+        if kind == "not_proposed":
+            return target[atom[1]] != atom[2]
+        if kind == "beaten_proposal":
+            return target[atom[1]] == atom[2] and accepted[atom[2]] != atom[1]
+        raise ValueError(f"unknown atom {atom!r}")
+
+    return sum(
+        share
+        for share, target, examined, accepted in worlds
+        if all(holds(atom, target, examined, accepted) for atom in conj)
+    )
+
+
+@lru_cache(maxsize=8)
+def _brute_worlds(graph: StochasticGraph, x: tuple, sigma: float | None):
+    """(augmented graph, [(probability, B target per A vertex or -1,
+    examined edge set, accepted proposer per B vertex)])."""
+    rnd = _compile_round(graph, x, sigma, range(len(graph.edges)), DistributionCache(graph, x))
+    aug = rnd.aug
+    outcomes = [_vertex_outcomes(rnd, v) for v in range(aug.a_count)]
+    worlds = []
+    for joint in itertools.product(*outcomes):
+        target = [aug.edges[t].b if t >= 0 else -1 for t, _, _ in joint]
+        examined = frozenset().union(*(ex for _, ex, _ in joint))
+        busy = [
+            [v for v in range(aug.a_count) if target[v] == u] for u in range(aug.b_count)
+        ]
+        busy = [ps for ps in busy if ps]
+        share = math.prod(q for _, _, q in joint) / math.prod(len(ps) for ps in busy)
+        for winners in itertools.product(*busy):
+            accepted = {target[w]: w for w in winners}
+            worlds.append((share, target, examined, accepted))
+    return aug, worlds
