@@ -167,7 +167,8 @@ def cmd_verify(args) -> int:
 
 def _probe_distribution(args) -> int:
     """Print one vertex's proportional permutation distribution: its
-    support and the exact first-realized marginals it induces."""
+    support, the exact first-realized marginals it induces, and their worst
+    deviation from the targets."""
     from .permdist import build_proportional_distribution, first_realized_marginals
 
     graph = _load_graph(args.dist_instance)
@@ -185,6 +186,8 @@ def _probe_distribution(args) -> int:
         "support": [{"permutation": list(perm), "probability": q} for perm, q in dist.support],
         "targets": {str(e): t for e, t in sorted(dist.targets.items())},
         "first_realized_marginals": {str(e): m for e, m in sorted(marginals.items())},
+        "support_size": len(dist.support),
+        "max_marginal_error": max((abs(marginals[e] - t) for e, t in dist.targets.items()), default=0.0),
     }
     text = json.dumps(payload, indent=1)
     if args.out:

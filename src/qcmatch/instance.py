@@ -227,8 +227,3 @@ def sample_realization(graph: StochasticGraph, state: RealizationState, edge_id:
         got = bool(state.rng.random() < e.p)
         state.flags[(e.a, e.b)] = got
     return got
-
-
-def rng_for_trial(master_seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream from (master seed, trial index)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))

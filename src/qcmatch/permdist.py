@@ -7,34 +7,39 @@ edge ``e`` stops the scan with probability
 
     p_e * prod_{e' before e} (1 - p_{e'})
 
-summed over the support.  A target vector is achievable exactly when it
-satisfies the vertex's subset constraints, and a distribution realizing it
-is found as a feasible point of a small LP whose columns enumerate every
-permutation of every subset of the target's support (the empty permutation
-absorbs slack mass).
+summed over the support.  The achievable target vectors are the points of
+the vertex's polymatroid, ``x(S) <= 1 - prod_{e in S} (1 - p_e)`` for every
+subset S of its edges, whose vertices are exactly the stop-probability
+vectors of permutations (Edmonds' greedy vertices; this is the
+construction of Gamlath, Kale and Svensson, SODA 2019).  A distribution
+realizing a target is therefore an exact decomposition of the target into
+greedy vertices, found with numpy over the vertex's 2^k subset table; the
+empty permutation absorbs slack mass.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .instance import StochasticGraph
 from .lpmatch import EPS, _vertex_worst
 
-#: supports larger than this make the permutation LP explode (13700 columns
-#: at 7); refuse rather than thrash
+#: supports larger than this are refused: a vertex's walk-outcome law, which
+#: two-round apx and the oracle enumerate, has up to
+#: (k + 2) * 2^(k - 1) outcomes
 DEGREE_CAP = 7
 
-_HIGHS_OPTS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+#: relative tolerance of the decomposition's zero and tight tests, and the
+#: largest marginal error its last step may leave
+_TOL = 1e-12
+
+#: floor of the absolute zero and tight tolerance: the rounding a residual
+#: accumulates over k + 2 steps
+_ROUNDING = 1e-15
 
 PermSample = tuple[int, ...]
 
@@ -92,12 +97,33 @@ def first_realized_marginals(dist: PermDistribution, graph: StochasticGraph) -> 
     return out
 
 
+@lru_cache(maxsize=None)
+def _subset_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` of the (2^k, k) bool ``masks`` marks the edges of subset
+    ``i`` (bit ``j`` of ``i`` is edge ``j``); ``order`` lists the subsets by
+    size, ties by index."""
+    idx = np.arange(1 << k)
+    masks = ((idx[:, None] >> np.arange(k)) & 1).astype(bool)
+    order = np.lexsort((idx, masks.sum(axis=1)))
+    masks.flags.writeable = order.flags.writeable = False  # shared by every call
+    return masks, order
+
+
 def build_proportional_distribution(
     graph: StochasticGraph, vertex: int, x
 ) -> PermDistribution:
     """Construct a distribution whose first-realized marginals equal ``x``
-    restricted to the vertex's edges, via a feasibility LP over enumerated
-    permutations of subsets of the support.
+    restricted to the vertex's edges, by decomposing ``x`` into greedy
+    vertices of the vertex's polymatroid.
+
+    Each step takes the greedy vector ``v`` of a permutation that follows a
+    maximal chain of the residual point's tight sets (each block in edge id
+    order), so ``v`` lies on the point's minimal face, and gives it the
+    largest mass that keeps the rest feasible.  The rest then has a new
+    tight set or a new zero, so at most k + 1 steps give at most k + 1
+    permutations.  Targets that violate a subset constraint by at most
+    ``EPS`` are first scaled onto the polymatroid; a larger violation
+    raises ``InfeasibleTargets`` with the worst subset.
     """
     incident = graph.edges_at_a[vertex]
     targets = {e: float(x[e]) for e in incident}
@@ -109,45 +135,68 @@ def build_proportional_distribution(
     if not support_edges:
         return PermDistribution(vertex=vertex, support=(((), 1.0),), targets=targets)
 
-    perms: list[PermSample] = [()]
-    for k in range(1, len(support_edges) + 1):
-        perms.extend(itertools.permutations(support_edges, k))
-
-    n = len(perms)
-    k_edges = len(support_edges)
-    a_eq = np.zeros((k_edges + 1, n))
-    b_eq = np.zeros(k_edges + 1)
-    for j, perm in enumerate(perms):
-        for i, e in enumerate(support_edges):
-            a_eq[i, j] = _stop_probability(graph, perm, e)
-    for i, e in enumerate(support_edges):
-        b_eq[i] = targets[e]
-    a_eq[k_edges, :] = 1.0
-    b_eq[k_edges] = 1.0
-
-    res = linprog(
-        np.zeros(n),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, 1.0)] * n,
-        method="highs",
-        options=_HIGHS_OPTS,
-    )
-    if not res.success:
+    k = len(support_edges)
+    masks, order = _subset_table(k)
+    p = np.array([graph.edges[e].p for e in support_edges])
+    f = 1.0 - np.prod(np.where(masks, 1.0 - p, 1.0), axis=1)
+    y = np.array([targets[e] for e in support_edges])
+    y_sets = masks @ y
+    if np.max(y_sets - f) > EPS:
         worst, witness = _vertex_worst(graph, x, incident, exhaustive=True)
-        if worst > EPS:
-            raise InfeasibleTargets(vertex, worst, witness or frozenset())
-        raise InfeasibleTargets(vertex, worst, frozenset(support_edges))
+        raise InfeasibleTargets(vertex, worst, witness or frozenset())
+    y *= min(1.0, float(np.min(f[1:] / y_sets[1:])))
 
-    # drop numerically-zero columns; park the lost mass on the empty
+    # y is the part of the targets not yet placed and ``left`` the
+    # probability not yet placed, so y / left lies in the polymatroid.  The
+    # zero and tight tests scale with ``left``, floored above the rounding
+    # that y accumulates; the finish test is absolute, so it bounds the
+    # error in the marginals.
+    found: dict[PermSample, float] = {}
+    left = 1.0
+    for _ in range(k + 2):
+        tol = max(_TOL * left, _ROUNDING)
+        y[y <= tol] = 0.0
+        live = ~masks[:, y == 0.0].any(axis=1)
+        slack = left * f - masks @ y
+        tight = live & (slack <= tol)
+        # maximal chain of tight sets: each the smallest tight strict
+        # superset of the last, the lowest mask on ties
+        perm: list[int] = []
+        chain = 0
+        for s in order[tight[order]].tolist():
+            if s & chain == chain and s != chain:
+                perm += [j for j in range(k) if (s & ~chain) >> j & 1]
+                chain = s
+        v = np.zeros(k)
+        stay = 1.0
+        for j in perm:
+            v[j] = stay * p[j]
+            stay *= 1.0 - p[j]
+        gap = f - masks @ v
+        # a near-tight set off the chain would hold the step at zero
+        room = live & ~tight & (gap > _TOL)
+        step = min(
+            left,
+            float(np.min(y[v > 0.0] / v[v > 0.0], initial=left)),
+            float(np.min(slack[room] / gap[room], initial=left)),
+        )
+        last = step >= left or np.max(np.abs(y - left * v)) <= _TOL
+        key = tuple(support_edges[j] for j in perm)
+        found[key] = found.get(key, 0.0) + (left if last else step)
+        if last:
+            break
+        y -= step * v
+        left -= step
+    else:
+        # rounding can leave a remainder too small to decompose; it stays
+        # unplaced, so the rest of the mass lands on the empty permutation
+        if np.max(y) > EPS:
+            raise RuntimeError(f"A-vertex {vertex}: greedy decomposition did not converge")
+
+    # drop numerically-zero masses; park the lost mass on the empty
     # permutation so the marginals are untouched
-    kept = [(perm, float(q)) for perm, q in zip(perms, res.x) if q > 1e-14]
-    total = sum(q for _, q in kept)
-    deficit = 1.0 - total
-    merged: dict[PermSample, float] = {}
-    for perm, q in kept:
-        merged[perm] = merged.get(perm, 0.0) + q
-    merged[()] = merged.get((), 0.0) + deficit
+    merged = {perm: q for perm, q in found.items() if q > 1e-14}
+    merged[()] = merged.get((), 0.0) + (1.0 - sum(merged.values()))
     if merged[()] <= 0.0:
         del merged[()]
     support = tuple(sorted(merged.items()))

@@ -106,6 +106,8 @@ def test_verify_distribution_probe(tmp_path):
     assert abs(sum(s["probability"] for s in data["support"]) - 1.0) <= 1e-9
     for e, t in data["targets"].items():
         assert abs(data["first_realized_marginals"][e] - t) <= 1e-7
+    assert data["support_size"] == len(data["support"])
+    assert data["max_marginal_error"] <= 1e-12
 
 
 def test_outputs_reproducible(tmp_path):

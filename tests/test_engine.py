@@ -20,10 +20,10 @@ from qcmatch.engine import (
     simple_matching,
     validate_run_result,
 )
-from qcmatch.instance import RealizationState, make_graph, rng_for_trial
+from qcmatch.instance import RealizationState, make_graph
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.transform import TransformParams, g_transform, heavy_degree_bound
-from util import random_feasible_x, random_instance, scaled_lp_x
+from util import random_feasible_x, random_instance, rng_for_trial, scaled_lp_x
 
 
 def greedy_expected_weight_brute_force(graph):

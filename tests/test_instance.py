@@ -9,10 +9,10 @@ from qcmatch.instance import (
     generate_instance,
     load_instance,
     make_graph,
-    rng_for_trial,
     sample_realization,
     save_instance,
 )
+from util import rng_for_trial
 
 
 def test_load_single_edge():

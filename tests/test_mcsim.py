@@ -11,10 +11,10 @@ from qcmatch.engine import (
     greedy_matching,
     simple_matching,
 )
-from qcmatch.instance import RealizationState, generate_instance, make_graph, rng_for_trial
+from qcmatch.instance import RealizationState, generate_instance, make_graph
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.transform import TransformParams, g_transform
-from util import matched_prob_closed_form, random_instance, two_proportion_z
+from util import matched_prob_closed_form, random_instance, rng_for_trial, two_proportion_z
 
 
 def reference_mean(graph, x, algorithm, params, trials, seed):

@@ -12,7 +12,7 @@ from qcmatch.permdist import (
     first_realized_marginals,
 )
 from qcmatch.transform import g_transform
-from util import enumerate_filter_outcomes, random_feasible_x
+from util import enumerate_filter_outcomes, random_feasible_x, worst_subset_ratio
 
 
 def test_forced_single_edge():
@@ -57,6 +57,69 @@ def test_exactness_on_random_vertices():
         marg = first_realized_marginals(d, g)
         for e in range(deg):
             assert marg[e] == pytest.approx(x[e], abs=1e-7)
+
+
+def test_greedy_decomposition_on_random_vertices():
+    rng = np.random.default_rng(16)
+    for i in range(600):
+        deg = int(rng.integers(1, DEGREE_CAP + 1))
+        ps = [1.0 if rng.random() < 0.5 else float(rng.uniform(0.05, 1.0)) for _ in range(deg)]
+        g = make_graph(1, deg, [(0, b, 1.0, p) for b, p in enumerate(ps)])
+        x = random_feasible_x(g, rng)
+        if i % 3 == 0:  # onto a tight set
+            ratio = worst_subset_ratio(g, x)
+            x = [v * (1.0 - 1e-13) / ratio for v in x]
+        d = build_proportional_distribution(g, 0, x)
+        marg = first_realized_marginals(d, g)
+        assert max(abs(marg[e] - x[e]) for e in range(deg)) <= 1e-12
+        assert sum(1 for perm, _ in d.support if perm) <= deg + 1
+        assert all(q > 0.0 for _, q in d.support)
+        assert abs(sum(q for _, q in d.support) - 1.0) <= 1e-12
+        assert build_proportional_distribution(g, 0, x).support == d.support
+
+
+@pytest.mark.parametrize(
+    "ps, x",
+    [
+        # two p = 1 edges, targets on a tight set: the last step leaves 8e-15
+        # of the remaining mass, which must not be decomposed as a new point
+        (
+            [0.512882617999671, 0.7850785851136106, 1.0, 0.8944949361299177,
+             0.49461809458787825, 1.0, 0.322002396915484],
+            [0.1237747845599638, 0.1271434180665008, 0.3633695637061306, 0.13594283989086087,
+             0.14691635354157956, 0.09950346844592371, 0.0033495717890405473],
+        ),
+        # a step leaves 3.7e-9 of the remaining mass (1e-9 in all), whose
+        # tight sets show only at tolerances scaled to that mass
+        (
+            [1.0, 0.8306741573091204, 0.9453663382633002, 0.5753860552063763,
+             0.3850447900401545, 0.924622221431753, 0.4502035679785114],
+            [0.2547069603288643, 0.1495096077351552, 0.034784691774091166, 0.08438224549501797,
+             0.02024423608000435, 0.32728625685518237, 0.12908600173158466],
+        ),
+    ],
+)
+def test_greedy_decomposition_converges_near_a_full_step(ps, x):
+    g = make_graph(1, len(ps), [(0, b, 1.0, p) for b, p in enumerate(ps)])
+    d = build_proportional_distribution(g, 0, x)
+    marg = first_realized_marginals(d, g)
+    assert max(abs(marg[e] - x[e]) for e in range(len(ps))) <= 1e-12
+    assert sum(1 for perm, _ in d.support if perm) <= len(ps) + 1
+
+
+@pytest.mark.parametrize("delta", [5e-11, 5e-10])
+def test_targets_within_feasibility_tolerance_build(delta):
+    # check_feasibility accepts a worst violation up to EPS; so does the builder
+    g = make_graph(1, 2, [(0, 0, 1.0, 0.5), (0, 1, 1.0, 0.5)])
+    x = [0.375 + delta, 0.375]
+    marg = first_realized_marginals(build_proportional_distribution(g, 0, x), g)
+    assert abs(marg[0] - x[0]) <= 2e-9 and abs(marg[1] - x[1]) <= 2e-9
+
+
+def test_targets_beyond_feasibility_tolerance_raise():
+    g = make_graph(1, 2, [(0, 0, 1.0, 0.5), (0, 1, 1.0, 0.5)])
+    with pytest.raises(InfeasibleTargets):
+        build_proportional_distribution(g, 0, [0.375 + 2e-9, 0.375])
 
 
 def test_degree_cap():

@@ -43,6 +43,11 @@ def random_instance(
     return make_graph(na, nb, triples)
 
 
+def rng_for_trial(master_seed: int, trial: int) -> np.random.Generator:
+    """Independent per-trial stream from (master seed, trial index)."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
+
+
 def worst_subset_ratio(graph: StochasticGraph, x) -> float:
     """max over vertices and incident subsets of (sum x) / rhs."""
     worst = 0.0
