@@ -332,10 +332,8 @@ def classify_light(graph: StochasticGraph, x, tau: float) -> tuple[list[int], fl
     masses.
     """
     m = len(graph.edges)
-    light = [
-        e for e in range(m)
-        if float(g_transform(x[e], 1.0)) / graph.edges[e].p <= tau
-    ]
+    ratio = g_transform(np.asarray(x, dtype=float), 1.0) / np.array([e.p for e in graph.edges])
+    light = np.nonzero(ratio <= tau)[0].tolist()
     lp_mass = sum(x[e] * graph.edges[e].w for e in range(m))
     omega = sum(x[e] * graph.edges[e].w for e in light)
     return light, omega, lp_mass

@@ -17,6 +17,13 @@ an available edge e with probability g(x_e, 1) whatever the available set,
 and only each B vertex's dummy depends on the trial.  Only the per-trial
 engine walks permutations.
 
+Greedy keeps its state edge-major.  A chunk's coins are drawn trial-major,
+``rng.random((n, m))``, which fixes the random stream; they are compared
+once against the edges' p and transposed into contiguous per-edge rows.
+Free flags are one contiguous row per vertex over the chunk's trials.  So
+each edge, in greedy order, combines and updates whole rows in place
+instead of strided columns.
+
 Trials are processed in fixed-size chunks with per-chunk RNG streams derived
 from (master seed, chunk index); chunk partials are reduced in chunk order,
 so results are bit-identical for fixed inputs no matter how many worker
@@ -205,22 +212,30 @@ def _two_round_chunk(ctx: _ApxContext, n: int, rng: np.random.Generator, n_orig:
 
 
 def _greedy_chunk(graph: StochasticGraph, n: int, rng: np.random.Generator):
+    """Greedy over ``n`` trials, edge-major: row e of ``real`` holds edge
+    e's realization in every trial, and rows of ``a_free``/``b_free`` hold
+    a vertex's free flag in every trial.  Returns (per-trial weight,
+    matches per edge)."""
     m = len(graph.edges)
     order = sorted(range(m), key=lambda e: (-graph.edges[e].w, e))
-    # coins drawn eagerly: each edge's coin is consulted at most once, so
-    # this is distribution-identical to lazy sampling
-    coins = rng.random((n, m))
-    a_used = np.zeros((n, graph.a_count), dtype=bool)
-    b_used = np.zeros((n, graph.b_count), dtype=bool)
+    p = np.array([e.p for e in graph.edges])
+    # coins drawn eagerly and trial-major, (n, m), which fixes the random
+    # stream: each edge's coin is consulted at most once, so this is
+    # distribution-identical to lazy sampling
+    real = np.ascontiguousarray((rng.random((n, m)) < p).T)
+    a_free = np.ones((graph.a_count, n), dtype=bool)
+    b_free = np.ones((graph.b_count, n), dtype=bool)
     weights = np.zeros(n)
     counts = np.zeros(m, dtype=np.int64)
     for e_id in order:
         e = graph.edges[e_id]
-        hit = ~a_used[:, e.a] & ~b_used[:, e.b] & (coins[:, e_id] < e.p)
+        hit = real[e_id]  # each row is read once, so it is reused in place
+        hit &= a_free[e.a]
+        hit &= b_free[e.b]
         weights += e.w * hit
-        a_used[:, e.a] |= hit
-        b_used[:, e.b] |= hit
-        counts[e_id] += int(hit.sum())
+        np.greater(a_free[e.a], hit, out=a_free[e.a])
+        np.greater(b_free[e.b], hit, out=b_free[e.b])
+        counts[e_id] = np.count_nonzero(hit)
     return weights, counts
 
 

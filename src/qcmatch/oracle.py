@@ -19,7 +19,8 @@ Two oracles live here:
 
   Every reported quantity is the probability of one conjunction of atoms.
   Only the A vertices that a conjunction names (at most two in every
-  bundle) are enumerated, as a product table of their outcomes.  Every
+  bundle) are enumerated, as a product table of their outcomes, built once
+  per named set and shared by the conjunctions that name it.  Every
   other vertex, dummies included, enters through its proposal law, and
   the number of them proposing at a B vertex that carries an order factor
   comes from a DP over proposer counts.  So nothing is exponential in the
@@ -199,6 +200,8 @@ class _Evaluator:
                 if t >= 0:
                     self.pi[v, self.edge_b[t]] += q
         self._laws: dict[tuple, np.ndarray] = {}
+        # per named-vertex tuple: its joint table and each row's B targets
+        self._joints: dict[tuple, tuple[_JointTable, np.ndarray]] = {}
 
     def _named(self, atom: Atom) -> int | None:
         kind = atom[0]
@@ -218,8 +221,11 @@ class _Evaluator:
         unnamed = np.ones(len(self.pi), dtype=bool)
         unnamed[list(named)] = False
         scale = float(np.prod(1.0 - self.pi[unnamed][:, list(zero)].sum(axis=1)))
-        jt = _build_joint(self.rnd, self.outcomes, named)
-        prop_b = self.edge_b[jt.prop]
+        joint = self._joints.get(named)
+        if joint is None:
+            jt = _build_joint(self.rnd, self.outcomes, named)
+            joint = self._joints[named] = (jt, self.edge_b[jt.prop])
+        jt, prop_b = joint
         val = jt.mass * ~np.isin(prop_b, zero).any(axis=1)
         factors = []  # (B vertex per row or -1, wins)
         for atom, owner in zip(conj, owners):

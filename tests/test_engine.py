@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -23,30 +22,13 @@ from qcmatch.engine import (
 from qcmatch.instance import RealizationState, make_graph
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.transform import TransformParams, g_transform, heavy_degree_bound
-from util import random_feasible_x, random_instance, rng_for_trial, scaled_lp_x
-
-
-def greedy_expected_weight_brute_force(graph):
-    """Independent oracle: run greedy's deterministic scan over every
-    realization, weighting by its probability."""
-    m = len(graph.edges)
-    order = sorted(range(m), key=lambda e: (-graph.edges[e].w, e))
-    total = 0.0
-    for bits in itertools.product([0, 1], repeat=m):
-        prob = 1.0
-        for e, bit in zip(graph.edges, bits):
-            prob *= e.p if bit else 1.0 - e.p
-        used_a, used_b, w = set(), set(), 0.0
-        for e_id in order:
-            e = graph.edges[e_id]
-            if e.a in used_a or e.b in used_b:
-                continue
-            if bits[e_id]:
-                used_a.add(e.a)
-                used_b.add(e.b)
-                w += e.w
-        total += prob * w
-    return total
+from util import (
+    greedy_expected_weight_brute_force,
+    random_feasible_x,
+    random_instance,
+    rng_for_trial,
+    scaled_lp_x,
+)
 
 
 def test_greedy_single_sure_edge():
@@ -226,6 +208,29 @@ def test_apx_branch_selection():
     run2 = apx_matching(g2, sol.x, TransformParams(), RealizationState(rng), rng)
     assert run2.branch == "heavy-prune"
     assert 0.1 <= heavy_degree_bound(0.8723)
+
+
+def test_classify_light_matches_the_scalar_transform():
+    # one vectorized g_transform call against one scalar call per edge, at x
+    # near 0 and 1 and at ratios a few ulps either side of tau
+    tau = TransformParams().tau
+    rng = np.random.default_rng(14)
+    xs = [0.0, 1e-300, 1e-15, 1e-9, 0.5, 1 - 2e-12, 1 - 1e-12, 1 - 1e-13, 1.0]
+    xs += rng.uniform(0.0, 1.0, 200).tolist()
+    triples = []
+    for i, x in enumerate(xs):
+        g_x = float(g_transform(x, 1.0))
+        p = g_x / tau if g_x > 0.0 else 0.5
+        for b, step in enumerate((-2, 0, 2)):
+            triples.append((i, b, float(rng.uniform(0.1, 2.0)), min(p + step * np.spacing(p), 1.0)))
+    g = make_graph(len(xs), 3, triples)
+    x = [xs[e.a] for e in g.edges]
+    light, omega, mass = classify_light(g, x, tau)
+    ref = [e.id for e in g.edges if float(g_transform(x[e.id], 1.0)) / e.p <= tau]
+    assert light == ref
+    assert 0 < len(ref) < len(g.edges)
+    assert omega == sum(x[e] * g.edges[e].w for e in ref)
+    assert mass == sum(x[e] * g.edges[e].w for e in range(len(g.edges)))
 
 
 def test_apx_round_disjointness_and_rounds():

@@ -14,7 +14,14 @@ from qcmatch.engine import (
 from qcmatch.instance import RealizationState, generate_instance, make_graph
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.transform import TransformParams, g_transform
-from util import matched_prob_closed_form, random_instance, rng_for_trial, two_proportion_z
+from util import (
+    greedy_expected_weight_brute_force,
+    greedy_match_probabilities_brute_force,
+    matched_prob_closed_form,
+    random_instance,
+    rng_for_trial,
+    two_proportion_z,
+)
 
 
 def reference_mean(graph, x, algorithm, params, trials, seed):
@@ -65,11 +72,59 @@ def test_batch_deterministic_and_thread_invariant():
     g = make_graph(2, 2, [(0, 0, 1.0, 0.7), (1, 1, 1.0, 0.7), (0, 1, 1.0, 0.4)])
     sol = solve_lp_match(g)
     params = TransformParams()
-    runs = [
-        mcsim.run_batch(g, sol.x, "apx", params, 150000, 21, threads=th)
-        for th in (1, 1, 4)
+    for algorithm, x in (("apx", sol.x), ("greedy", None)):
+        runs = [
+            mcsim.run_batch(g, x, algorithm, params, 150000, 21, threads=th)
+            for th in (1, 1, 4)
+        ]
+        assert runs[0] == runs[1] == runs[2], algorithm
+
+
+def _greedy_instance(rng, na, nb, n_edges):
+    """Random instance with weights tied from {0.5, 1, 2}, about a third of
+    the edges sure, and one isolated vertex on each side."""
+    pairs = [(a, b) for a in range(na) for b in range(nb)]
+    keep = sorted(rng.choice(len(pairs), size=min(n_edges, len(pairs)), replace=False).tolist())
+    triples = [
+        (*pairs[i], float(rng.choice([0.5, 1.0, 2.0])),
+         1.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 1.0)))
+        for i in keep
     ]
-    assert runs[0] == runs[1] == runs[2]
+    return make_graph(na + 1, nb + 1, triples)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_greedy_chunk_agrees_with_engine_trial_by_trial(n):
+    # the engine scans each trial with its coins pre-filled from the same
+    # chunk draw that the batch kernel consumes
+    rng = np.random.default_rng(70 + n)
+    for k in range(6):
+        g = _greedy_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 16)))
+        m = len(g.edges)
+        weights, counts = mcsim._greedy_chunk(g, n, np.random.default_rng(k))
+        real = np.random.default_rng(k).random((n, m)) < np.array([e.p for e in g.edges])
+        ref_weights = np.empty(n)
+        ref_counts = np.zeros(m, dtype=np.int64)
+        for t in range(n):
+            flags = {(e.a, e.b): bool(real[t, e.id]) for e in g.edges}
+            run = greedy_matching(g, RealizationState(np.random.default_rng(0), flags))
+            ref_weights[t] = run.weight
+            ref_counts[list(run.matching)] += 1
+        assert np.all(np.abs(weights - ref_weights) <= 1e-12), k
+        assert counts.tolist() == ref_counts.tolist(), k
+
+
+def test_greedy_batch_matches_exact_value():
+    rng = np.random.default_rng(90)
+    trials = 200000
+    for i in range(4):
+        g = _greedy_instance(rng, 3, 4, int(rng.integers(4, 11)))
+        exact = greedy_expected_weight_brute_force(g)
+        probs = np.array(greedy_match_probabilities_brute_force(g))
+        res = mcsim.run_batch(g, None, "greedy", TransformParams(), trials, 91 + i)
+        assert abs(res.mean - exact) <= 4 * max(res.stderr, 1e-9), i
+        sd = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / trials)
+        assert np.all(np.abs(np.array(res.edge_match_freq) - probs) <= 4 * sd), i
 
 
 def test_batch_chunk_boundaries():

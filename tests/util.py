@@ -48,6 +48,34 @@ def rng_for_trial(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
 
 
+def greedy_match_probabilities_brute_force(graph: StochasticGraph) -> list[float]:
+    """Independent oracle: run greedy's deterministic scan over every
+    realization and return each edge's probability of being matched."""
+    m = len(graph.edges)
+    order = sorted(range(m), key=lambda e: (-graph.edges[e].w, e))
+    matched = [0.0] * m
+    for bits in itertools.product([0, 1], repeat=m):
+        prob = 1.0
+        for e, bit in zip(graph.edges, bits):
+            prob *= e.p if bit else 1.0 - e.p
+        used_a, used_b = set(), set()
+        for e_id in order:
+            e = graph.edges[e_id]
+            if e.a in used_a or e.b in used_b:
+                continue
+            if bits[e_id]:
+                used_a.add(e.a)
+                used_b.add(e.b)
+                matched[e_id] += prob
+    return matched
+
+
+def greedy_expected_weight_brute_force(graph: StochasticGraph) -> float:
+    """Greedy's exact expected weight from the brute-force per-edge
+    probabilities."""
+    return sum(e.w * q for e, q in zip(graph.edges, greedy_match_probabilities_brute_force(graph)))
+
+
 def worst_subset_ratio(graph: StochasticGraph, x) -> float:
     """max over vertices and incident subsets of (sum x) / rhs."""
     worst = 0.0
