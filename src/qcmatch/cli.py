@@ -279,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--solution")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--events", choices=_EVENT_CHOICES, default="all")
+    p.add_argument(
+        "--events",
+        choices=_EVENT_CHOICES,
+        default="all",
+        help="conditional bundles to report; all = lemma7 + lemma8",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

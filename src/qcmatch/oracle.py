@@ -27,6 +27,12 @@ Two oracles live here:
   vertex count; one vertex's outcome list is bounded by the permutation
   support cap.
 
+  One report evaluates each distinct conjunction once.  A conjunction is
+  keyed by its sorted, de-duplicated atoms, since neither order nor
+  repeats change its probability; the bundles share many (lemma 8's given
+  is lemma 7's target and given, and ``edge_available`` is lemma 8's
+  target and given).  The memo lives for one call only.
+
 Monte Carlo estimates come from ``mcsim.run_batch``.
 """
 
@@ -128,14 +134,14 @@ def expected_opt_exact(graph: StochasticGraph) -> float:
         conflict.append(mask)
     w = [e.w for e in graph.edges]
 
-    size = 1 << m
-    best = np.zeros(size)
-    for s in range(1, size):
-        e = s.bit_length() - 1  # highest set edge
-        rest = s & ~(1 << e)
+    # best[s] for the subsets s whose highest edge is e: either e joins the
+    # best matching of s's other edges that avoid e's endpoints, or not
+    best = np.zeros(1 << m)
+    for e in range(m):
+        rest = np.arange(1 << e)
         take = w[e] + best[rest & ~conflict[e]]
-        skip = best[rest]
-        best[s] = take if take > skip else skip
+        skip = best[: 1 << e]
+        best[1 << e : 2 << e] = np.where(take > skip, take, skip)
 
     probs = np.ones(1)
     for e in graph.edges:
@@ -185,6 +191,11 @@ class _Evaluator:
     pi_w(u) / (1 - pi_w(Z)).  An order factor at a B vertex with k named
     and c unnamed proposers is 1/(k+c) for the winner and (k+c-1)/(k+c)
     for a loser, averaged over the law of c.
+
+    Everything that depends only on the named vertices and Z (the joint
+    table, the unnamed scale, the rows that keep Z free, the count laws and
+    the order factors) is built once per evaluator and shared by the
+    conjunctions that need it.
     """
 
     def __init__(self, rnd) -> None:
@@ -200,8 +211,12 @@ class _Evaluator:
                 if t >= 0:
                     self.pi[v, self.edge_b[t]] += q
         self._laws: dict[tuple, np.ndarray] = {}
+        self._factors: dict[tuple, float] = {}
         # per named-vertex tuple: its joint table and each row's B targets
         self._joints: dict[tuple, tuple[_JointTable, np.ndarray]] = {}
+        # per (named, zero): the unnamed scale and each row's mass where no
+        # named vertex proposes into zero
+        self._bases: dict[tuple, tuple[float, np.ndarray]] = {}
 
     def _named(self, atom: Atom) -> int | None:
         kind = atom[0]
@@ -213,20 +228,31 @@ class _Evaluator:
             return None
         raise ValueError(f"unknown atom {atom!r}")
 
+    def _joint(self, named) -> tuple[_JointTable, np.ndarray]:
+        joint = self._joints.get(named)
+        if joint is None:
+            jt = _build_joint(self.rnd, self.outcomes, named)
+            joint = self._joints[named] = (jt, self.edge_b[jt.prop])
+        return joint
+
+    def _base(self, named, zero) -> tuple[float, np.ndarray]:
+        base = self._bases.get((named, zero))
+        if base is None:
+            unnamed = np.ones(len(self.pi), dtype=bool)
+            unnamed[list(named)] = False
+            scale = float(np.prod(1.0 - self.pi[unnamed][:, list(zero)].sum(axis=1)))
+            jt, prop_b = self._joint(named)
+            val = jt.mass * ~np.isin(prop_b, zero).any(axis=1)
+            base = self._bases[(named, zero)] = (scale, val)
+        return base
+
     def probability(self, conj: Conj) -> float:
         owners = [self._named(atom) for atom in conj]
         named = tuple(sorted({v for v in owners if v is not None}))
         col = {v: i for i, v in enumerate(named)}
         zero = tuple(sorted({atom[1] for atom in conj if atom[0] == "b_unmatched"}))
-        unnamed = np.ones(len(self.pi), dtype=bool)
-        unnamed[list(named)] = False
-        scale = float(np.prod(1.0 - self.pi[unnamed][:, list(zero)].sum(axis=1)))
-        joint = self._joints.get(named)
-        if joint is None:
-            jt = _build_joint(self.rnd, self.outcomes, named)
-            joint = self._joints[named] = (jt, self.edge_b[jt.prop])
-        jt, prop_b = joint
-        val = jt.mass * ~np.isin(prop_b, zero).any(axis=1)
+        jt, prop_b = self._joint(named)
+        scale, val = self._base(named, zero)
         factors = []  # (B vertex per row or -1, wins)
         for atom, owner in zip(conj, owners):
             if owner is None:  # b_unmatched, handled through zero
@@ -251,24 +277,38 @@ class _Evaluator:
         live = val > 0.0
         us = np.column_stack([u[live] for u, _ in factors])
         ks = np.column_stack([(prop_b[live] == u[:, None]).sum(axis=1) for u in us.T])
-        keys, inverse = np.unique(np.hstack((us, ks)), axis=0, return_inverse=True)
+        # one integer per row, equal exactly when (us, ks) rows are equal:
+        # digit (u + 1) * (K + 1) + k per factor, with K = len(named) >= k
+        radix = (len(self.pi[0]) + 1) * (len(named) + 1)
+        code, span = np.zeros(len(us), dtype=np.int64), 1
+        for u, k in zip(us.T, ks.T):
+            if span * radix >= 2**63:  # re-rank before the next digit overflows
+                code = np.unique(code, return_inverse=True)[1]
+                span = len(code)
+            code = code * radix + (u + 1) * (len(named) + 1) + k
+            span *= radix
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         wins = [w for _, w in factors]
-        expect = [self._order_factor(named, zero, key, wins) for key in keys]
+        expect = [self._order_factor(named, zero, us[r], ks[r], wins) for r in first]
         return scale * float(np.dot(val[live], np.array(expect)[inverse.ravel()]))
 
-    def _order_factor(self, named, zero, key, wins) -> float:
+    def _order_factor(self, named, zero, us, ks, wins) -> float:
         """E[product of order factors] for one row's (B vertices, named
         proposer counts); a factor at B vertex -1 (no proposal) is 1."""
-        n = len(wins)
-        active = sorted((int(key[j]), int(key[n + j]), wins[j]) for j in range(n) if key[j] >= 0)
-        us = tuple(u for u, _, _ in active)
-        if len(set(us)) < len(us):
+        active = tuple(sorted((int(u), int(k), w) for u, k, w in zip(us, ks, wins) if u >= 0))
+        key = (named, zero, active)
+        got = self._factors.get(key)
+        if got is not None:
+            return got
+        at = tuple(u for u, _, _ in active)
+        if len(set(at)) < len(at):
             raise NotImplementedError("two order factors on one B vertex")
-        law = self._count_law(named, zero, us)
+        law = self._count_law(named, zero, at)
         f = 1.0
         for (_, k, win), c in zip(active, np.ix_(*map(np.arange, law.shape))):
             f = f * (1.0 / (k + c) if win else (k + c - 1.0) / (k + c))
-        return float((law * f).sum())
+        got = self._factors[key] = float((law * f).sum())
+        return got
 
     def _count_law(self, named, zero, us) -> np.ndarray:
         """Joint law of the unnamed proposer counts at the B vertices
@@ -283,10 +323,14 @@ class _Evaluator:
             if w in named:
                 continue
             p = near[w] / (1.0 - self.pi[w, list(zero)].sum())
-            grown = np.pad(law, [(0, 1 if q > 0.0 else 0) for q in p])
-            law = grown * (1.0 - p.sum())
+            # a count grows by one along each axis that w may propose to
+            head = tuple(slice(0, n) for n in law.shape)
+            grown = np.zeros([n + (q > 0.0) for n, q in zip(law.shape, p)])
+            grown[head] = law * (1.0 - p.sum())
             for axis in np.nonzero(p)[0]:
-                law += p[axis] * np.roll(grown, 1, axis=axis)
+                up = head[:axis] + (slice(1, law.shape[axis] + 1),) + head[axis + 1 :]
+                grown[up] += p[axis] * law
+            law = grown
         self._laws[key] = law
         return law
 
@@ -315,23 +359,31 @@ def exact_event_probabilities(
     cache = DistributionCache(graph, x)
     eff_sigma = None if algorithm == "simple" else float(sigma if sigma is not None else 1.0)
     rnd = _compile_round(graph, x, eff_sigma, range(len(graph.edges)), cache)
-    prob = _Evaluator(rnd).probability
+    evaluator = _Evaluator(rnd)
+    memo: dict[Conj, float] = {}
 
-    edge_matched = [prob((("matched", e.id),)) for e in graph.edges]
+    def prob(*atoms: Atom) -> float:
+        # atom order and repeats do not change a conjunction's probability
+        key = tuple(sorted(set(atoms)))
+        if key not in memo:
+            memo[key] = evaluator.probability(key)
+        return memo[key]
+
+    edge_matched = [prob(("matched", e.id)) for e in graph.edges]
     conds: dict[ConditionalKey, float | None] = {}
     for target, given in conditionals:
-        key = (tuple(target), tuple(given))
-        denom = prob(key[1])
-        conds[key] = None if denom < CONDITION_MASS_FLOOR else prob(key[0] + key[1]) / denom
+        key = (tuple(map(tuple, target)), tuple(map(tuple, given)))
+        denom = prob(*key[1])
+        conds[key] = None if denom < CONDITION_MASS_FLOOR else prob(*key[0], *key[1]) / denom
     return ExactEventReport(
         edge_matched=tuple(edge_matched),
-        edge_examined=tuple(prob((("examined", e.id),)) for e in graph.edges),
+        edge_examined=tuple(prob(("examined", e.id)) for e in graph.edges),
         edge_available=tuple(
-            prob((("not_examined", e.id), ("b_unmatched", e.b), ("a_unmatched", e.a)))
+            prob(("not_examined", e.id), ("b_unmatched", e.b), ("a_unmatched", e.a))
             for e in graph.edges
         ),
-        a_unmatched=tuple(prob((("a_unmatched", v),)) for v in range(graph.a_count)),
-        b_unmatched=tuple(prob((("b_unmatched", u),)) for u in range(graph.b_count)),
+        a_unmatched=tuple(prob(("a_unmatched", v)) for v in range(graph.a_count)),
+        b_unmatched=tuple(prob(("b_unmatched", u)) for u in range(graph.b_count)),
         expected_weight=float(sum(e.w * q for e, q in zip(graph.edges, edge_matched))),
         conditionals=conds,
     )

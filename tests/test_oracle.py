@@ -44,8 +44,9 @@ def test_expected_opt_matches_naive_enumeration():
     import itertools
 
     rng = np.random.default_rng(17)
-    for _ in range(10):
-        g = random_instance(rng, max_edges=5)
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    complete = make_graph(3, 3, [(a, b, 0.5 + a + b / 3, 0.3 + 0.2 * b) for a, b in pairs])
+    for g in [random_instance(rng, max_edges=5) for _ in range(10)] + [complete]:
         naive = 0.0
         for bits in itertools.product([0, 1], repeat=len(g.edges)):
             prob = 1.0
@@ -199,6 +200,133 @@ def test_c08_instance_7_events():
         assert rep.edge_matched[e] == pytest.approx(matched_prob_closed_form(g, x, 1.0, e), abs=1e-9)
     for u in range(g.b_count):
         assert rep.b_unmatched[u] == pytest.approx(b_unmatched_closed_form(g, x, 1.0, u), abs=1e-9)
+
+
+def _canonical(*atoms):
+    return tuple(sorted(set(atoms)))
+
+
+def test_each_distinct_conjunction_evaluated_once(monkeypatch):
+    # lemma 8's given is lemma 7's target and given, and edge_available is
+    # lemma 8's target and given in another atom order
+    g = generate_instance("uniform", na=5, nb=6, density=0.45, seed=201)
+    x = solve_lp_match(g).x
+    conds = oracle.conditional_bundles(g, "lemma7") + oracle.conditional_bundles(g, "lemma8")
+    calls = []
+    evaluate = oracle._Evaluator.probability
+
+    def counted(self, conj):
+        calls.append(conj)
+        return evaluate(self, conj)
+
+    monkeypatch.setattr(oracle._Evaluator, "probability", counted)
+    rep = exact_event_probabilities(g, x, 1.0, conds)
+    want = set()
+    for e in g.edges:
+        want |= {
+            _canonical(("matched", e.id)),
+            _canonical(("examined", e.id)),
+            _canonical(("not_examined", e.id), ("b_unmatched", e.b), ("a_unmatched", e.a)),
+        }
+    want |= {_canonical(("a_unmatched", v)) for v in range(g.a_count)}
+    want |= {_canonical(("b_unmatched", u)) for u in range(g.b_count)}
+    for target, given in conds:
+        want.add(_canonical(*given))
+        if rep.conditionals[(target, given)] is not None:
+            want.add(_canonical(*target, *given))
+    assert len(calls) == len(set(calls)) == len(want)
+    assert set(calls) == want
+    assert len(calls) < 3 * len(g.edges) + g.a_count + g.b_count + 2 * len(conds)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, None], ids=["sigma1", "sigma0.5", "simple"])
+def test_atom_order_and_repeats_leave_values_unchanged(sigma):
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        g = random_instance(rng, max_a=3, max_b=3, max_edges=5)
+        x = random_feasible_x(g, rng, sigma=sigma or 1.0)
+        alg = "simple" if sigma is None else "alg1"
+        conds = oracle.conditional_bundles(g, "all")
+        # shuffle each side and repeat one of its atoms; the target also
+        # repeats a given atom, which leaves the conditional unchanged
+        mixed = []
+        for target, given in conds:
+            t = list(target) + [target[0], given[-1]]
+            gv = list(given) + [given[0]]
+            rng.shuffle(t)
+            rng.shuffle(gv)
+            mixed.append((tuple(t), tuple(gv)))
+        rep = exact_event_probabilities(g, x, sigma, conds, algorithm=alg)
+        rep2 = exact_event_probabilities(g, x, sigma, mixed, algorithm=alg)
+        assert rep2.edge_available == rep.edge_available
+        for key, key2 in zip(conds, mixed):
+            got = rep2.conditionals[key2]
+            assert got == rep.conditionals[key]
+            if got is not None:
+                t, gv = key2
+                want = brute_probability(g, x, sigma, t + gv) / brute_probability(g, x, sigma, gv)
+                assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_wide_conjunction_of_independent_vertices():
+    # eight A vertices on disjoint B vertices among 400: their row codes
+    # outgrow int64 and are re-ranked, and the events stay independent
+    g = make_graph(8, 400, [(a, a, 1.0, 0.5) for a in range(8)])
+    atoms = tuple(("a_unmatched", v) for v in range(8))
+    rep = exact_event_probabilities(g, [0.5] * 8, 1.0, [(atoms[1:], atoms[:1])])
+    (got,) = rep.conditionals.values()
+    assert got == pytest.approx(math.prod(rep.a_unmatched[1:]), abs=1e-12)
+
+
+def test_conditionals_from_json_feed_back():
+    # report_to_json writes atoms as lists; feeding them back must work
+    g = generate_instance("uniform", na=3, nb=3, seed=4)
+    x = solve_lp_match(g).x
+    conds = oracle.conditional_bundles(g, "all")
+    rep = exact_event_probabilities(g, x, 1.0, conds)
+    payload = oracle.report_to_json(rep)
+    again = [(c["target"], c["given"]) for c in payload["conditionals"]]
+    assert isinstance(again[0][0][0], list)
+    rep2 = exact_event_probabilities(g, x, 1.0, again)
+    assert rep2 == rep
+
+
+def test_count_law_matches_enumeration():
+    # the unnamed proposer counts at one or two B vertices, against every
+    # joint proposal target of the unnamed vertices with none into zero
+    import itertools
+    from qcmatch.engine import DistributionCache, _compile_round
+
+    rng = np.random.default_rng(37)
+    checked = 0
+    for _ in range(6):
+        g = random_instance(rng, max_a=4, max_b=3, max_edges=7)
+        x = random_feasible_x(g, rng, sigma=1.0)
+        rnd = _compile_round(g, x, 1.0, range(len(g.edges)), DistributionCache(g, x))
+        ev = oracle._Evaluator(rnd)
+        na, nb = ev.pi.shape
+        cases = [((), (), (u,)) for u in range(nb)]
+        cases += [((0,), (), (u1, u2)) for u1 in range(nb) for u2 in range(u1 + 1, nb)]
+        cases += [((), (z,), (u,)) for z in range(nb) for u in range(nb) if u != z]
+        for named, zero, us in cases:
+            law = ev._count_law(named, zero, us)
+            unnamed = [w for w in range(na) if w not in named]
+            seen = list(us) + list(zero)  # -1: any other B vertex or none
+            want = np.zeros((na + 1,) * len(us))
+            free = 0.0
+            for targets in itertools.product([-1] + seen, repeat=len(unnamed)):
+                q = 1.0
+                for w, t in zip(unnamed, targets):
+                    q *= ev.pi[w, t] if t >= 0 else 1.0 - ev.pi[w, seen].sum()
+                if q == 0.0 or any(t in zero for t in targets):
+                    continue
+                free += q
+                want[tuple(targets.count(u) for u in us)] += q
+            got = np.zeros_like(want)
+            got[tuple(slice(0, n) for n in law.shape)] = law
+            assert np.allclose(got, want / free, rtol=0.0, atol=1e-12)
+            checked += 1
+    assert checked > 20
 
 
 def test_monte_carlo_deterministic_instance():
