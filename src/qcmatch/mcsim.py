@@ -17,6 +17,18 @@ an available edge e with probability g(x_e, 1) whatever the available set,
 and only each B vertex's dummy depends on the trial.  Only the per-trial
 engine walks permutations.
 
+Every proposal round accepts through one B-major slot table (``_Slots``):
+slot (u, j) holds the j-th edge at B vertex u and the proposer that owns
+it.  A round first flags, per column (proposer, edge) and trial, whether
+the column fired: in a law round, when the proposer's uniform offset by the
+mass before its group lands in the column's stretch of a cumulative sum; in
+round 1 of two-round ``apx``, when the drawn outcome proposes the column's
+edge.  A slot's key is its owner's priority, plus 1 where its column did
+not fire, and each B vertex accepts the least key below 1.  The work is laid
+out slot by trial, so the minimum over a B vertex's slots is a few
+whole-row operations; there is no compaction of the proposals and no
+scatter.  Law-round tables hold only the columns that can carry mass.
+
 Greedy keeps its state edge-major.  A chunk's coins are drawn trial-major,
 ``rng.random((n, m))``, which fixes the random stream; they are compared
 once against the edges' p and transposed into contiguous per-edge rows.
@@ -57,7 +69,8 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
     """A proposal round as each augmented A vertex's walk-outcome law:
     cumulative masses, the proposed augmented edge (-1 for none), the
     vertex's incident edge ids and an outcomes x incident examined matrix.
-    Returns (augmented B endpoints, augmented weights, B count, laws)."""
+    Returns (slot table over the proposable edges, augmented edge count,
+    laws); the table's proposers are the laws' vertices in order."""
     rnd = _compile_round(graph, x, sigma, edge_ids, cache)
     laws = []
     for v in sorted(rnd.dists):
@@ -69,9 +82,12 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
             np.array(incident, dtype=np.int64),
             np.array([[e in examined for e in incident] for _, examined, _ in outcomes], dtype=bool),
         ))
-    edge_b = np.array([e.b for e in rnd.aug.edges], dtype=np.int64)
-    edge_w = np.array([e.w for e in rnd.aug.edges])
-    return edge_b, edge_w, rnd.aug.b_count, laws
+    # one column per (proposer, edge) that some outcome proposes
+    pairs = sorted({(i, e) for i, (_, target, _, _) in enumerate(laws) for e in target.tolist() if e >= 0})
+    owner = np.array([i for i, _ in pairs], dtype=np.int64)
+    edge = np.array([e for _, e in pairs], dtype=np.int64)
+    slots = _Slots(owner, edge, [e.b for e in rnd.aug.edges], [e.w for e in rnd.aug.edges], rnd.aug.b_count)
+    return slots, len(rnd.aug.edges), laws
 
 
 def _run_proposal_chunk(comp, n: int, rng: np.random.Generator):
@@ -80,80 +96,126 @@ def _run_proposal_chunk(comp, n: int, rng: np.random.Generator):
 
     Returns (per-trial weight, winner edges (n, n_b), examined flags (n, m)).
     """
-    edge_b, edge_w, n_b, laws = comp
-    prop = np.empty((n, len(laws)), dtype=np.int64)
-    exam = np.zeros((n, len(edge_b)), dtype=bool)
+    slots, m_aug, laws = comp
+    prop = np.empty((len(laws), n), dtype=np.int64)
+    exam = np.zeros((n, m_aug), dtype=bool)
     for i, (cum, target, incident, examined) in enumerate(laws):
         k = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
-        prop[:, i] = target[k]
+        prop[i] = target[k]
         exam[:, incident] = examined[k]
-    weights, win = _accept(prop, rng.random((n, len(laws))), edge_b, edge_w, n_b)
+    miss = np.ones((len(slots.owner) + 1, n), dtype=bool)
+    np.not_equal(prop[slots.owner], slots.edge[:, None], out=miss[:-1])
+    weights, win = slots.accept(miss, rng.random((n, len(laws))))
     return weights, win, exam
 
 
-def _accept(prop: np.ndarray, prio: np.ndarray, edge_b: np.ndarray, edge_w: np.ndarray, n_b: int):
-    """Each B vertex accepts its min-priority proposer.
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """``a.T`` as a contiguous array, copied 4,096 rows at a time: one
+    strided copy of a (60,000, 13) float array took 3.5 times as long on a
+    2-vCPU Xeon."""
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for i in range(0, len(a), 4096):
+        out[:, i:i + 4096] = a[i:i + 4096].T
+    return out
 
-    ``prop`` (n, k) holds each proposer's edge id (-1 for none) and ``prio``
-    its uniform priority; returns the per-trial accepted weight and the
-    accepted edge per (trial, B vertex), -1 where nobody proposed.
-    """
-    n = len(prop)
-    has = prop >= 0
-    rows = np.broadcast_to(np.arange(n)[:, None], prop.shape)[has]
-    eids = prop[has]
-    b = edge_b[eids]
-    pr = prio[has]
-    best = np.full((n, n_b), np.inf)
-    np.minimum.at(best, (rows, b), pr)
-    first = pr <= best[rows, b]
-    win = -np.ones((n, n_b), dtype=np.int64)
-    win[rows[first], b[first]] = eids[first]
-    return (edge_w[np.maximum(win, 0)] * (win >= 0)).sum(axis=1), win
+
+class _Slots:
+    """B-major slot table of a round.  Column c lets proposer ``owner[c]``
+    propose augmented edge ``edge[c]``; row c of a round's (columns + 1,
+    trials) ``miss`` flags the trials where column c did not fire, and its
+    last row, which no column owns, is all True.  Slot (u, j) holds the
+    column ``col`` of the j-th such edge at B vertex u, its owner and its
+    edge + 1; the ``width - degree`` slots past u's edges read the last
+    row, so they never fire, and hold edge + 1 = 0."""
+
+    def __init__(self, owner: np.ndarray, edge: np.ndarray, edge_b, edge_w, n_b: int) -> None:
+        self.owner, self.edge, self.n_b = owner, edge, n_b
+        col_b = np.asarray(edge_b, dtype=np.int64)[edge]
+        deg = np.bincount(col_b, minlength=n_b)
+        self.width = max(int(deg.max(initial=0)), 1)
+        by_b = np.argsort(col_b, kind="stable")
+        slot = col_b[by_b] * self.width + np.arange(len(by_b)) - np.repeat(np.cumsum(deg) - deg, deg)
+        self.col = np.full(n_b * self.width, len(owner), dtype=np.int64)
+        self.col[slot] = by_b
+        # a slot past the degree reads proposer 0's priority, which its
+        # miss flag always outweighs
+        self.slot_owner = np.append(owner, 0)[self.col]
+        edge_p1 = np.zeros(n_b * self.width, dtype=np.int32)
+        edge_p1[slot] = edge[by_b] + 1
+        self.edge_p1 = edge_p1.reshape(n_b, self.width, 1)
+        # weight per edge, and 0 for edge -1
+        self.w_ext = np.append(np.asarray(edge_w, dtype=float), 0.0)
+
+    def accept(self, miss: np.ndarray, prio: np.ndarray):
+        """Each B vertex accepts the least-priority proposer among its fired
+        slots.  ``prio`` (trials, proposers) holds uniform priorities in
+        [0, 1); a slot's key is its owner's priority, plus 1 where it did not
+        fire.  Returns per-trial weights and the accepted edge per (trial, B
+        vertex), -1 where nobody proposed."""
+        n = miss.shape[1]
+        key = _transposed(prio)[self.slot_owner]
+        key += miss[self.col]
+        key = key.reshape(self.n_b, self.width, n)
+        best = key.min(axis=1)
+        win_p1 = ((key == best[:, None]) * self.edge_p1).max(axis=1)
+        win_p1 *= best < 1.0
+        win = _transposed(win_p1) - 1
+        return self.w_ext[win].sum(axis=1), win
 
 
 def _count_matches(win: np.ndarray, n_orig: int) -> np.ndarray:
     """Matches per original edge; original edges are the prefix of every
     augmented edge set."""
-    return np.bincount(win[win >= 0], minlength=n_orig)[:n_orig]
+    return np.bincount(win.ravel() + 1, minlength=n_orig + 1)[1:n_orig + 1]
+
+
+def _law_columns(graph: StochasticGraph):
+    """The column order of a law round: the graph's edges grouped by A
+    vertex, then B vertex u's dummy as proposer n_a + u with edge m + u.
+    Returns (original edge per edge column, owner per column, edge per
+    column)."""
+    m, n_a, n_b = len(graph.edges), graph.a_count, graph.b_count
+    edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
+    by_a = np.argsort(edge_a, kind="stable")
+    return by_a, np.concatenate((edge_a[by_a], n_a + np.arange(n_b))), np.concatenate((by_a, m + np.arange(n_b)))
 
 
 class _Proposers:
-    """The proposers of a round on ``graph``: the A vertices, then B vertex
-    u's dummy as proposer n_a + u with edge m + u.  Their laws are laid out
-    as columns, the graph's edges grouped by A vertex and then the dummies:
-    column c lets proposer ``owner[c]`` propose edge ``edge[c]``, and
-    ``start[c]`` is the first column of its group."""
+    """The proposers of a law round on ``graph``: the A vertices, then each
+    B vertex's dummy, each drawing one uniform and one priority per trial.
+    Only the columns of ``_law_columns`` flagged ``live`` enter the slot
+    table: a column whose mass is 0 never fires, and leaving it out moves
+    no other column's stretch.  ``start[c]`` is the first live column of
+    ``owner[c]``'s group."""
 
-    def __init__(self, graph: StochasticGraph) -> None:
-        m, n_a, n_b = len(graph.edges), graph.a_count, graph.b_count
-        edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
-        self.by_a = np.argsort(edge_a, kind="stable")
-        self.n_prop = n_a + n_b
-        self.owner = np.concatenate((edge_a[self.by_a], n_a + np.arange(n_b)))
-        self.edge = np.concatenate((self.by_a, m + np.arange(n_b)))
-        self.start = np.searchsorted(self.owner, self.owner)
-        self.edge_b = np.concatenate(([e.b for e in graph.edges], np.arange(n_b))).astype(np.int64)
-        self.edge_w = np.concatenate(([e.w for e in graph.edges], np.zeros(n_b)))
-        self.n_b = n_b
+    def __init__(self, graph: StochasticGraph, live: np.ndarray) -> None:
+        _, owner, edge = _law_columns(graph)
+        owner, edge = owner[live], edge[live]
+        self.n_prop = graph.a_count + graph.b_count
+        self.start = np.searchsorted(owner, owner)
+        edge_b = np.concatenate(([e.b for e in graph.edges], np.arange(graph.b_count)))
+        edge_w = np.concatenate(([e.w for e in graph.edges], np.zeros(graph.b_count)))
+        self.slots = _Slots(owner, edge, edge_b, edge_w, graph.b_count)
 
 
 def _propose(props: _Proposers, law: np.ndarray, n: int, rng: np.random.Generator):
-    """Every proposer draws one column of its group with probability
-    ``law`` (per column, or per trial and column) and proposes nothing with
-    the rest of its mass, one uniform each against its stretch of a
-    cumulative sum; then each B vertex accepts its min-priority proposer.
-    Returns per-trial weights and the accepted edge per (trial, B vertex)."""
-    cum = np.cumsum(law, axis=-1)
-    prev = np.concatenate((np.zeros(cum.shape[:-1] + (1,)), cum[..., :-1]), axis=-1)
-    pick = rng.random((n, props.n_prop))[:, props.owner] + prev[..., props.start]
-    rows, cols = np.nonzero((prev <= pick) & (pick < cum))
-    prop = -np.ones((n, props.n_prop), dtype=np.int64)
-    prop[rows, props.owner[cols]] = props.edge[cols]
-    return _accept(prop, rng.random((n, props.n_prop)), props.edge_b, props.edge_w, props.n_b)
+    """Every proposer draws one live column of its group with probability
+    ``law`` (columns x 1, or columns x trials) and proposes nothing with the
+    rest of its mass, one uniform each against its stretch of a cumulative
+    sum; then each B vertex accepts its min-priority proposer.  Returns
+    per-trial weights and the accepted edge per (trial, B vertex)."""
+    # cum[c] is the mass before column c, cum[c + 1] the mass through it
+    cum = np.zeros((len(law) + 1, law.shape[1]))
+    np.cumsum(law, axis=0, out=cum[1:])
+    pick = _transposed(rng.random((n, props.n_prop)))[props.slots.owner]
+    pick += cum[props.start]
+    miss = np.ones((len(law) + 1, n), dtype=bool)
+    np.less(pick, cum[:-1], out=miss[:-1])
+    miss[:-1] |= pick >= cum[1:]
+    return props.slots.accept(miss, rng.random((n, props.n_prop)))
 
 
-def _round_law(graph: StochasticGraph, props: _Proposers, x, sigma: float | None, edge_ids) -> np.ndarray:
+def _round_law(graph: StochasticGraph, x, sigma: float | None, edge_ids) -> np.ndarray:
     """Column law of a round that needs no examined-edge state: every A
     vertex and every dummy proposes each edge of its walk's support with
     probability the edge's shrunk x."""
@@ -162,7 +224,8 @@ def _round_law(graph: StochasticGraph, props: _Proposers, x, sigma: float | None
     m = len(graph.edges)
     dummy = np.zeros(graph.b_count)
     dummy[[e.b for e in aug.edges[m:]]] = xt[m:]
-    return np.concatenate((xt[:m][props.by_a], dummy))
+    by_a, _, _ = _law_columns(graph)
+    return np.concatenate((xt[:m][by_a], dummy))
 
 
 class _ApxContext:
@@ -173,11 +236,19 @@ class _ApxContext:
     def __init__(self, graph: StochasticGraph, x, plan: ApxPlan):
         self.graph = graph
         self.round1 = _compile_arrays(graph, x, plan.sigma, plan.edge_ids, DistributionCache(graph, x))
-        self.round2 = _Proposers(graph)
         self.x = np.asarray(x, dtype=float)
+        by_a, _, _ = _law_columns(graph)
+        law = g_transform(self.x[by_a], 1.0)
+        live = law > 0.0
+        # round 2's live columns: edges that can carry mass, and every dummy
+        self.round2 = _Proposers(graph, np.concatenate((live, np.ones(graph.b_count, dtype=bool))))
+        self.cols, self.law = by_a[live], law[live]
         self.edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
+        # indexed by a round-1 winner (-1 is the last entry): its A vertex,
+        # or a_count for a dummy edge and for nobody
+        _, m_aug, _ = self.round1
+        self.win_a = np.concatenate((self.edge_a, np.full(m_aug - len(self.edge_a) + 1, graph.a_count)))
         self.edge_b_orig = np.array([e.b for e in graph.edges], dtype=np.int64)
-        self.law = g_transform(self.x[self.round2.by_a], 1.0)
         self.at_b = np.eye(graph.b_count)[self.edge_b_orig]
 
     def round2_for(self, avail: np.ndarray, rng: np.random.Generator):
@@ -187,7 +258,7 @@ class _ApxContext:
         weights and per-edge match counts."""
         n, m = avail.shape
         gap = np.clip(1.0 - (avail * self.x) @ self.at_b, 0.0, 1.0)
-        law = np.concatenate((avail[:, self.round2.by_a] * self.law, g_transform(gap, 1.0)), axis=1)
+        law = np.concatenate((_transposed(avail)[self.cols] * self.law[:, None], _transposed(g_transform(gap, 1.0))))
         weights, win = _propose(self.round2, law, n, rng)
         return weights, _count_matches(win, m)
 
@@ -195,15 +266,15 @@ class _ApxContext:
 def _two_round_chunk(ctx: _ApxContext, n: int, rng: np.random.Generator, n_orig: int):
     weights, win, exam = _run_proposal_chunk(ctx.round1, n, rng)
     counts = _count_matches(win, n_orig)
-    rows, cols = np.nonzero((win >= 0) & (win < n_orig))
-    a_matched = np.zeros((n, ctx.graph.a_count), dtype=bool)
-    a_matched[rows, ctx.edge_a[win[rows, cols]]] = True
+    # matched A vertices, with one extra column for dummies and nobody
+    a_matched = np.zeros((n, ctx.graph.a_count + 1), dtype=bool)
+    a_matched[np.arange(n)[:, None], ctx.win_a[win]] = True
     # available edges: unexamined, both endpoints unmatched (original edges
     # are the augmented prefix; a dummy match blocks its B vertex)
     avail = (
         ~exam[:, :n_orig]
         & ~a_matched[:, ctx.edge_a]
-        & (win[:, ctx.edge_b_orig] < 0)
+        & (win < 0)[:, ctx.edge_b_orig]
     )
     live = np.nonzero((avail & (ctx.x > 0.0)).any(axis=1))[0]
     w2, counts2 = ctx.round2_for(avail[live], rng)
@@ -281,8 +352,9 @@ def run_batch(
             def body(n, rng):
                 return _two_round_chunk(ctx, n, rng, n_orig)
         else:
-            props = _Proposers(graph)
-            law = _round_law(graph, props, x, sigma, edge_ids)
+            law = _round_law(graph, x, sigma, edge_ids)
+            props = _Proposers(graph, law > 0.0)
+            law = law[law > 0.0, None]
 
             def body(n, rng):
                 weights, win = _propose(props, law, n, rng)

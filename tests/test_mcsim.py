@@ -15,9 +15,12 @@ from qcmatch.instance import RealizationState, generate_instance, make_graph
 from qcmatch.lpmatch import solve_lp_match
 from qcmatch.transform import TransformParams, g_transform
 from util import (
+    accept_min_priority,
     greedy_expected_weight_brute_force,
     greedy_match_probabilities_brute_force,
+    law_round_proposals,
     matched_prob_closed_form,
+    outcome_round_proposals,
     random_instance,
     rng_for_trial,
     two_proportion_z,
@@ -114,6 +117,94 @@ def test_greedy_chunk_agrees_with_engine_trial_by_trial(n):
         assert counts.tolist() == ref_counts.tolist(), k
 
 
+def _law_columns_and_masses(g, rng, trials=None):
+    """The law-round column order (edges grouped by A vertex, then B vertex
+    u's dummy as proposer n_a + u with edge m + u) and random masses: each
+    proposer spreads at most 1 over its columns, about a third of them 0.
+    With ``trials`` the masses are drawn per trial."""
+    m, n_a = len(g.edges), g.a_count
+    columns = [(e.a, e.id) for e in sorted(g.edges, key=lambda e: e.a)]
+    columns += [(n_a + u, m + u) for u in range(g.b_count)]
+    owners = np.array([o for o, _ in columns])
+
+    def draw():
+        q = rng.random(len(columns)) * (rng.random(len(columns)) > 0.3)
+        scale = rng.choice([1.0, float(rng.random())])
+        for o in set(owners.tolist()):
+            at = owners == o
+            if q[at].sum() > 0:
+                q[at] *= scale / q[at].sum()
+        return q
+
+    law = draw() if trials is None else np.array([draw() for _ in range(trials)])
+    return columns, law
+
+
+def _aug_edges(g):
+    """B endpoint and weight of every edge and then of every dummy."""
+    edge_b = [e.b for e in g.edges] + list(range(g.b_count))
+    edge_w = [e.w for e in g.edges] + [0.0] * g.b_count
+    return edge_b, edge_w
+
+
+def _assert_round_matches_replay(weights, win, ref_win, edge_w):
+    ref_weights = [sum(edge_w[e] for e in row if e >= 0) for row in ref_win]
+    assert win.tolist() == ref_win
+    assert np.all(np.abs(weights - np.array(ref_weights)) <= 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_law_round_kernel_agrees_with_replay_trial_by_trial(n):
+    # the replay reads the same two draws that the kernel consumes and
+    # walks every column, zero-law ones included; the kernel keeps only
+    # the columns that can fire
+    rng = np.random.default_rng(170 + n)
+    for k in range(6):
+        g = _greedy_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 16)))
+        n_prop = g.a_count + g.b_count
+        edge_b, edge_w = _aug_edges(g)
+        for per_trial in (False, True):
+            columns, law = _law_columns_and_masses(g, rng, n if per_trial else None)
+            live = (law > 0.0).any(axis=0) if per_trial else law > 0.0
+            props = mcsim._Proposers(g, live)
+            assert len(props.slots.owner) == live.sum()
+            kernel_law = law[:, live].T if per_trial else law[live, None]
+            weights, win = mcsim._propose(props, kernel_law, n, np.random.default_rng(k))
+            draws = np.random.default_rng(k)
+            u, prio = draws.random((n, n_prop)), draws.random((n, n_prop))
+            ref_win = accept_min_priority(law_round_proposals(columns, law, u), prio, edge_b, g.b_count)
+            _assert_round_matches_replay(weights, win, ref_win, edge_w)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_outcome_round_kernel_agrees_with_replay_trial_by_trial(n):
+    rng = np.random.default_rng(190 + n)
+    for k in range(6):
+        g = _greedy_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 16)))
+        x = solve_lp_match(g).x
+        sigma = TransformParams().sigma
+        comp = mcsim._compile_arrays(g, x, sigma, range(len(g.edges)), DistributionCache(g, x))
+        weights, win, exam = mcsim._run_proposal_chunk(comp, n, np.random.default_rng(k))
+        _, m_aug, laws = comp
+        aug = engine._pad_round(g, x, sigma, range(len(g.edges)))[0]
+        assert m_aug == len(aug.edges)
+        draws = np.random.default_rng(k)
+        r = [draws.random(n) for _ in laws]
+        props, examined = outcome_round_proposals(laws, r)
+        ref_win = accept_min_priority(props, draws.random((n, len(laws))), [e.b for e in aug.edges], aug.b_count)
+        _assert_round_matches_replay(weights, win, ref_win, [e.w for e in aug.edges])
+        assert [set(np.flatnonzero(row).tolist()) for row in exam] == examined
+
+
+def test_simple_slot_table_has_no_dummy_columns():
+    g = _mixed_3x3()
+    x = solve_lp_match(g).x
+    law = mcsim._round_law(g, x, None, range(len(g.edges)))
+    props = mcsim._Proposers(g, law > 0.0)
+    assert len(props.slots.owner) == sum(1 for v in x if v > 1e-15)
+    assert props.slots.edge.max() < len(g.edges)
+
+
 def test_greedy_batch_matches_exact_value():
     rng = np.random.default_rng(90)
     trials = 200000
@@ -133,6 +224,40 @@ def test_batch_chunk_boundaries():
         res = mcsim.run_batch(g, None, "greedy", TransformParams(), trials, 3)
         assert res.trials == trials
         assert 0.0 <= res.mean <= 1.0
+
+
+@pytest.mark.parametrize("algorithm", ["simple", "alg1", "apx-heavy-prune", "apx-two-round"])
+def test_law_round_batch_chunk_boundaries(algorithm):
+    if algorithm == "apx-heavy-prune":
+        g, x, _ = _hard_heavy_prune()
+    else:
+        g = _mixed_3x3()
+        x = solve_lp_match(g).x
+    name, _, branch = algorithm.partition("-")
+    w = np.array([e.w for e in g.edges])
+    for trials in (1, 2, mcsim.CHUNK_SIZE, mcsim.CHUNK_SIZE + 1):
+        res = mcsim.run_batch(g, x, name, TransformParams(), trials, 3)
+        assert res.trials == trials
+        assert res.branch == (branch or None)
+        counts = np.array(res.edge_match_freq) * trials
+        assert np.all(np.abs(counts - np.round(counts)) <= 1e-6)
+        # a vertex is matched at most once per trial
+        for incident in g.edges_at_a + g.edges_at_b:
+            assert counts[list(incident)].sum() <= trials + 1e-6
+        assert res.mean == pytest.approx(float(w @ res.edge_match_freq), rel=1e-12, abs=1e-15)
+        if trials == 1:
+            assert res.stderr == 0.0
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "apx"])
+def test_law_rounds_thread_invariant(algorithm):
+    g, x, _ = _hard_heavy_prune()
+    runs = [
+        mcsim.run_batch(g, x, algorithm, TransformParams(), 150000, 21, threads=th)
+        for th in (1, 4)
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].branch == ("heavy-prune" if algorithm == "apx" else None)
 
 
 def test_batch_rejects_unknown_algorithm():

@@ -271,3 +271,66 @@ def _brute_worlds(graph: StochasticGraph, x: tuple, sigma: float | None):
             accepted = {target[w]: w for w in winners}
             worlds.append((share, target, examined, accepted))
     return aug, worlds
+
+
+def law_round_proposals(columns, law, u) -> list[list[int]]:
+    """Plain-Python replay of a law round's proposals over one chunk's
+    uniforms ``u`` (trials x proposers).  ``columns`` lists (proposer, edge)
+    in the round's column order, each proposer's columns consecutive, and
+    ``law`` holds their masses: one list, or one list per trial.  A running
+    sum over all columns gives column c the stretch [before c, through c);
+    each proposer proposes the edge of the column whose stretch holds its
+    uniform plus the mass before its first column, and nothing when none
+    does.  Returns the proposed edge per (trial, proposer), -1 for none."""
+    n, n_prop = np.shape(u)
+    out = []
+    for t in range(n):
+        masses = law[t] if np.ndim(law) == 2 else law
+        bounds, total = [], 0.0
+        for q in masses:
+            bounds.append((total, total + float(q)))
+            total += float(q)
+        first: dict[int, float] = {}
+        for (owner, _), (lo, _) in zip(columns, bounds):
+            first.setdefault(owner, lo)
+        props = [-1] * n_prop
+        for (owner, edge), (lo, hi) in zip(columns, bounds):
+            pick = float(u[t][owner]) + first[owner]
+            if lo <= pick < hi:
+                props[owner] = edge
+        out.append(props)
+    return out
+
+
+def outcome_round_proposals(laws, draws):
+    """Plain-Python replay of round 1's outcome draws: vertex i takes the
+    first outcome whose cumulative mass exceeds its uniform ``draws[i][t]``
+    (the last one if none does).  ``laws`` are (cumulative masses, proposed
+    edge, incident edges, examined matrix) per vertex.  Returns (proposed
+    edge per (trial, vertex), examined edge set per trial)."""
+    n = len(draws[0]) if laws else 0
+    props = [[-1] * len(laws) for _ in range(n)]
+    examined = [set() for _ in range(n)]
+    for i, (cum, target, incident, exam) in enumerate(laws):
+        for t in range(n):
+            k = next((j for j, c in enumerate(cum) if draws[i][t] < c), len(cum) - 1)
+            props[t][i] = int(target[k])
+            examined[t].update(int(e) for e, hit in zip(incident, exam[k]) if hit)
+    return props, examined
+
+
+def accept_min_priority(proposals, prio, edge_b, n_b: int) -> list[list[int]]:
+    """Each B vertex accepts the proposer with the least priority among
+    those that propose one of its edges.  Returns the accepted edge per
+    (trial, B vertex), -1 where nobody proposed."""
+    win = []
+    for t, props in enumerate(proposals):
+        best: dict[int, tuple[float, int]] = {}
+        for owner, edge in enumerate(props):
+            if edge < 0:
+                continue
+            b, key = edge_b[edge], float(prio[t][owner])
+            if b not in best or key < best[b][0]:
+                best[b] = (key, edge)
+        win.append([best[b][1] if b in best else -1 for b in range(n_b)])
+    return win
