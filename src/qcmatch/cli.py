@@ -139,7 +139,7 @@ def cmd_oracle(args) -> int:
     report = oracle.exact_event_probabilities(graph, x, args.sigma, conds)
     payload = oracle.report_to_json(report)
     payload["sigma"] = args.sigma
-    if len(graph.edges) <= 20:
+    if len(graph.edges) <= oracle.EXPECTED_OPT_EDGE_CAP:
         payload["expected_opt"] = oracle.expected_opt_exact(graph)
     text = json.dumps(payload, indent=1)
     if args.out:

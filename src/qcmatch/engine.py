@@ -69,13 +69,10 @@ class RunResult:
 # Greedy baseline
 # ---------------------------------------------------------------------------
 
-def greedy_matching(
-    graph: StochasticGraph, state: RealizationState, rng: np.random.Generator | None = None
-) -> RunResult:
+def greedy_matching(graph: StochasticGraph, state: RealizationState) -> RunResult:
     """Query edges in weight-descending order (ties by id) whenever both
-    endpoints are unmatched; commit realized edges.  ``rng`` is accepted for
-    signature uniformity; greedy itself is deterministic given the coins."""
-    del rng
+    endpoints are unmatched; commit realized edges.  Deterministic given the
+    coins."""
     order = sorted(range(len(graph.edges)), key=lambda e: (-graph.edges[e].w, e))
     log = [UNEXAMINED] * len(graph.edges)
     events: list[tuple[int, str]] = []

@@ -11,8 +11,11 @@ vertex the most violated subset is a prefix of the incident edges sorted by
 ``x_e / p_e`` descending: at an optimum, in-set edges satisfy
 ``x_e/p_e > P`` and out-of-set edges ``x_e/p_e <= P``, where ``P`` is the
 product of ``(1-p)`` over the set, so the optimum is a threshold set.  The
-prefix scan is O(deg log deg) per vertex; completeness versus exhaustive
-enumeration is covered by tests on small degrees.
+prefix scan is O(deg log deg) per vertex.  Certificates (``check_feasibility``
+and the solver's final check) evaluate every subset of a vertex of degree
+<= ``EXHAUSTIVE_DEGREE_CAP`` by one numpy doubling over its subset lattice:
+O(2^deg) time, two float arrays of 2^deg entries (16 MB at degree 20).
+Above the cap the solver falls back to the prefix scan.
 
 Each vertex's family is a polymatroid (the right-hand side is monotone
 submodular), so a linear objective with distinct weights is maximized over
@@ -26,7 +29,6 @@ weights certifies that the tie-broken optimum is optimal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +100,34 @@ def constraint_rhs(graph: StochasticGraph, edge_ids) -> float:
     return 1.0 - prod
 
 
-def _sorted_incident(graph: StochasticGraph, incident, x) -> list[int]:
-    # descending x/p, ties by ascending id, for the prefix scan
-    return sorted(incident, key=lambda e: (-(max(x[e], 0.0) / graph.edges[e].p), e))
+def _prefix_scan(graph: StochasticGraph, x, incident) -> tuple[list[int], list[float]]:
+    """The incident edges sorted by descending x/p (ties by ascending id),
+    and the violation of each sorted prefix."""
+    order = sorted(incident, key=lambda e: (-(max(x[e], 0.0) / graph.edges[e].p), e))
+    violations = []
+    s = 0.0
+    prod = 1.0
+    for e in order:
+        s += x[e]
+        prod *= 1.0 - graph.edges[e].p
+        violations.append(s - (1.0 - prod))
+    return order, violations
+
+
+def _subset_worst(graph: StochasticGraph, x, edges) -> tuple[float, frozenset[int]]:
+    """Worst violation over the nonempty subsets of ``edges``, which share
+    an endpoint, and the lowest mask attaining it (bit ``j`` is
+    ``edges[j]``); each subset's sum and product run in list order."""
+    s = np.zeros(1 << len(edges))
+    prod = np.ones(1 << len(edges))
+    for j, e in enumerate(edges):
+        # the masks with top bit j extend the masks below 1 << j by edge j
+        np.add(s[: 1 << j], x[e], out=s[1 << j : 2 << j])
+        np.multiply(prod[: 1 << j], 1.0 - graph.edges[e].p, out=prod[1 << j : 2 << j])
+    s -= np.subtract(1.0, prod, out=prod)  # the violations
+    mask = int(np.argmax(s[1:])) + 1
+    witness = frozenset(e for j, e in enumerate(edges) if mask >> j & 1)
+    return float(s[mask]), witness
 
 
 def separate(graph: StochasticGraph, x, eps: float = EPS) -> list[tuple[VertexKey, frozenset[int]]]:
@@ -111,76 +138,46 @@ def separate(graph: StochasticGraph, x, eps: float = EPS) -> list[tuple[VertexKe
     """
     out: list[tuple[VertexKey, frozenset[int]]] = []
     for key, incident in _vertices(graph):
-        if not incident:
-            continue
-        order = _sorted_incident(graph, incident, x)
-        s = 0.0
-        prod = 1.0
-        for k, e in enumerate(order):
-            s += x[e]
-            prod *= 1.0 - graph.edges[e].p
-            if s - (1.0 - prod) > eps:
-                out.append((key, frozenset(order[: k + 1])))
+        order, violations = _prefix_scan(graph, x, incident)
+        out.extend(
+            (key, frozenset(order[: k + 1])) for k, v in enumerate(violations) if v > eps
+        )
     return out
 
 
-def _vertex_worst(graph: StochasticGraph, x, incident, exhaustive: bool):
-    """(worst violation, witness id set) at one vertex."""
-    worst = -math.inf
-    witness: frozenset[int] | None = None
-    if exhaustive:
-        deg = len(incident)
-        xs = [x[e] for e in incident]
-        ps = [graph.edges[e].p for e in incident]
-        for mask in range(1, 1 << deg):
-            s = 0.0
-            prod = 1.0
-            for i in range(deg):
-                if (mask >> i) & 1:
-                    s += xs[i]
-                    prod *= 1.0 - ps[i]
-            v = s - (1.0 - prod)
-            if v > worst:
-                worst = v
-                witness = frozenset(e for i, e in enumerate(incident) if (mask >> i) & 1)
-    else:
-        order = _sorted_incident(graph, incident, x)
-        s = 0.0
-        prod = 1.0
-        for k, e in enumerate(order):
-            s += x[e]
-            prod *= 1.0 - graph.edges[e].p
-            v = s - (1.0 - prod)
-            if v > worst:
-                worst = v
-                witness = frozenset(order[: k + 1])
-    return worst, witness
+def _vertex_worsts(graph: StochasticGraph, x, exhaustive_cap: int):
+    """Yield (worst violation, (vertex, witness)) for every vertex with
+    edges: over all its subsets if its degree is at most
+    ``exhaustive_cap``, else over its sorted prefixes."""
+    for key, incident in _vertices(graph):
+        if not incident:
+            continue
+        if len(incident) <= exhaustive_cap:
+            v, wit = _subset_worst(graph, x, incident)
+        else:
+            order, violations = _prefix_scan(graph, x, incident)
+            k = max(range(len(violations)), key=violations.__getitem__)
+            v, wit = violations[k], frozenset(order[: k + 1])
+        yield v, (key, wit)
 
 
 def check_feasibility(graph: StochasticGraph, x, mode: str = "exhaustive") -> FeasibilityReport:
     """Worst subset-constraint violation over all vertices.
 
-    ``exhaustive`` enumerates every incident subset (degree <= 20);
+    ``exhaustive`` evaluates every incident subset (degree <= 20);
     ``prefix`` checks only the sorted prefixes.
     """
     if mode not in ("exhaustive", "prefix"):
         raise ValueError(f"unknown mode {mode!r}")
-    worst = -math.inf
-    witness: tuple[VertexKey, frozenset[int]] | None = None
+    cap = EXHAUSTIVE_DEGREE_CAP if mode == "exhaustive" else 0
     for key, incident in _vertices(graph):
-        if not incident:
-            continue
-        if mode == "exhaustive" and len(incident) > EXHAUSTIVE_DEGREE_CAP:
+        if mode == "exhaustive" and len(incident) > cap:
             raise ValueError(
                 f"{key[0].upper()}-vertex {key[1]}: degree {len(incident)} "
-                f"exceeds exhaustive cap {EXHAUSTIVE_DEGREE_CAP}"
+                f"exceeds exhaustive cap {cap}"
             )
-        v, wit = _vertex_worst(graph, x, incident, exhaustive=(mode == "exhaustive"))
-        if v > worst:
-            worst = v
-            witness = (key, wit)
-    if worst == -math.inf:
-        worst = 0.0
+    # the first vertex attaining the worst violation
+    worst, witness = max(_vertex_worsts(graph, x, cap), key=lambda r: r[0], default=(0.0, None))
     return FeasibilityReport(
         feasible=worst <= EPS, worst_violation=worst, witness=witness, mode=mode
     )
@@ -267,13 +264,9 @@ def solve_lp_match(graph: StochasticGraph, eps: float = EPS) -> FractionalSoluti
         if bound - float(np.dot(x, w)) > eps * max(1.0, bound):
             x = cut_loop(w)
     xs = tuple(float(v) for v in x)
-    for key, incident in _vertices(graph):
-        if not incident:
-            continue
-        exhaustive = len(incident) <= EXHAUSTIVE_DEGREE_CAP
-        v, wit = _vertex_worst(graph, xs, incident, exhaustive=exhaustive)
+    for v, row in _vertex_worsts(graph, xs, EXHAUSTIVE_DEGREE_CAP):
         if v > eps:
-            raise LpSolveError(f"solution violates {(key, wit)} by {v}")
+            raise LpSolveError(f"solution violates {row} by {v}")
     return FractionalSolution(
         x=xs, objective=float(np.dot(xs, w)), generated_constraints=tuple(rows)
     )

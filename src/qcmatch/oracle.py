@@ -49,6 +49,9 @@ from .instance import StochasticGraph
 #: conditioning events with less mass than this are reported as undefined
 CONDITION_MASS_FLOOR = 1e-12
 
+#: ``expected_opt_exact`` enumerates 2^|E| realizations up to this many edges
+EXPECTED_OPT_EDGE_CAP = 20
+
 
 class SizeCapError(ValueError):
     pass
@@ -119,10 +122,10 @@ def max_weight_matching(edges: Sequence[tuple[int, int, float]]) -> tuple[tuple[
 
 def expected_opt_exact(graph: StochasticGraph) -> float:
     """Expected weight of the offline max-weight matching over all 2^|E|
-    realizations, via a subset-lattice DP (|E| <= 20)."""
+    realizations, via a subset-lattice DP (|E| <= ``EXPECTED_OPT_EDGE_CAP``)."""
     m = len(graph.edges)
-    if m > 20:
-        raise SizeCapError(f"{m} edges exceeds the 2^|E| enumeration cap of 20")
+    if m > EXPECTED_OPT_EDGE_CAP:
+        raise SizeCapError(f"{m} edges exceeds the 2^|E| enumeration cap of {EXPECTED_OPT_EDGE_CAP}")
     if m == 0:
         return 0.0
     conflict = []
@@ -340,25 +343,21 @@ def exact_event_probabilities(
     x,
     sigma: float | None,
     conditionals: Sequence[ConditionalKey] = (),
-    *,
-    algorithm: str = "alg1",
 ) -> ExactEventReport:
     """Exact event report for one round of the proposal rounding.
 
-    ``algorithm="alg1"`` runs the shrink-and-pad round at cap ``sigma``;
-    ``algorithm="simple"`` runs the plain proportional round (``sigma``
-    ignored).  Conditionals are (target conjunction, given conjunction)
+    A float ``sigma`` runs alg1's shrink-and-pad round at that cap;
+    ``sigma=None`` runs the plain proportional round (``simple``).
+    Conditionals are (target conjunction, given conjunction)
     pairs of atoms over original edge ids / vertex indices:
 
         ("matched", e) ("examined", e) ("not_examined", e)
         ("a_unmatched", v) ("b_unmatched", u)
         ("proposed", v, u) ("not_proposed", v, u) ("beaten_proposal", v, u)
     """
-    if algorithm not in ("alg1", "simple"):
-        raise ValueError(f"unsupported algorithm {algorithm!r}")
     cache = DistributionCache(graph, x)
-    eff_sigma = None if algorithm == "simple" else float(sigma if sigma is not None else 1.0)
-    rnd = _compile_round(graph, x, eff_sigma, range(len(graph.edges)), cache)
+    sigma = None if sigma is None else float(sigma)
+    rnd = _compile_round(graph, x, sigma, range(len(graph.edges)), cache)
     evaluator = _Evaluator(rnd)
     memo: dict[Conj, float] = {}
 
@@ -389,6 +388,10 @@ def exact_event_probabilities(
     )
 
 
+_BUNDLES = ("lemma7", "unmatched-given-unexamined", "lemma8", "correlation",
+            "proposal-correlation", "all")
+
+
 def conditional_bundles(graph: StochasticGraph, which: str) -> list[ConditionalKey]:
     """Pre-canned conditional-event bundles.
 
@@ -399,6 +402,8 @@ def conditional_bundles(graph: StochasticGraph, which: str) -> list[ConditionalK
     ``proposal-correlation``: pairs comparing a rival's proposal probability
     against the same event under a beaten-proposal conditioning.
     """
+    if which not in _BUNDLES:
+        raise ValueError(f"unknown bundle {which!r}; choose from {', '.join(_BUNDLES)}")
     out: list[ConditionalKey] = []
     if which in ("lemma7", "unmatched-given-unexamined", "all"):
         for e in graph.edges:

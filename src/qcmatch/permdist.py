@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .instance import StochasticGraph
-from .lpmatch import EPS, _vertex_worst
+from .lpmatch import EPS, _subset_worst
 
 #: supports larger than this are refused: a vertex's walk-outcome law, which
 #: two-round apx and the oracle enumerate, has up to
@@ -142,8 +142,8 @@ def build_proportional_distribution(
     y = np.array([targets[e] for e in support_edges])
     y_sets = masks @ y
     if np.max(y_sets - f) > EPS:
-        worst, witness = _vertex_worst(graph, x, incident, exhaustive=True)
-        raise InfeasibleTargets(vertex, worst, witness or frozenset())
+        # an edge off the support only lowers a set's violation
+        raise InfeasibleTargets(vertex, *_subset_worst(graph, targets, support_edges))
     y *= min(1.0, float(np.min(f[1:] / y_sets[1:])))
 
     # y is the part of the targets not yet placed and ``left`` the

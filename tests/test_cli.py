@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qcmatch.cli import main
+from qcmatch.instance import make_graph, save_instance
 
 
 def run_cli(*argv):
@@ -140,3 +141,17 @@ def test_oracle_complete_5x5_succeeds(tmp_path):
             q for e, q in zip(edges, data["edge_matched"]) if e["a"] == v
         )
         assert abs(total - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [20, 21])
+def test_oracle_reports_expected_opt_up_to_20_edges(tmp_path, m):
+    inst = tmp_path / "i.json"
+    out = tmp_path / "o.json"
+    inst.write_text(save_instance(make_graph(m, m, [(i, i, 1.0, 0.5) for i in range(m)])))
+    assert run_cli("oracle", "--instance", str(inst), "--events", "lemma7",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    if m == 20:
+        assert data["expected_opt"] == pytest.approx(0.5 * m, abs=1e-9)
+    else:
+        assert "expected_opt" not in data

@@ -78,7 +78,7 @@ def test_simple_sure_edge_always_matches():
 
 def test_simple_two_proposers_probability():
     g = make_graph(2, 1, [(0, 0, 1.0, 1.0), (1, 0, 1.0, 1.0)])
-    rep = oracle.exact_event_probabilities(g, [0.5, 0.5], None, algorithm="simple")
+    rep = oracle.exact_event_probabilities(g, [0.5, 0.5], None)
     assert 1.0 - rep.b_unmatched[0] == pytest.approx(0.75, abs=1e-12)
     cache = DistributionCache(g, [0.5, 0.5])
     hits = 0

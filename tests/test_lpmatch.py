@@ -15,7 +15,7 @@ from qcmatch.lpmatch import (
     solve_lp_match,
 )
 from qcmatch.oracle import expected_opt_exact
-from util import random_feasible_x, random_instance
+from util import feasibility_reference, random_feasible_x, random_instance
 
 
 def brute_force_worst(graph, x):
@@ -150,6 +150,42 @@ def test_exhaustive_degree_cap():
     with pytest.raises(ValueError, match="B-vertex 0: degree 21 exceeds exhaustive cap 20"):
         check_feasibility(g, [0.0] * 21, "exhaustive")
     check_feasibility(g, [0.0] * 21, "prefix")  # prefix mode still works
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "prefix"])
+def test_check_feasibility_matches_plain_loop(mode):
+    # 600 random stars: a B centre of degree 1-12 and its A leaves.  Every
+    # third draws x from {0, a} and p from {1, b}, so equal edges tie whole
+    # subsets, and zero-x edges after a p = 1 edge tie prefixes: the
+    # first-maximum tie-break decides the witness
+    rng = np.random.default_rng(12)
+    for t in range(600):
+        deg = 1 + t % 12
+        ps = rng.uniform(0.05, 1.0, deg)
+        x = [float(p * rng.uniform(0.3, 1.5)) for p in ps]
+        if t % 3 == 0:
+            ps = rng.choice([1.0, float(rng.uniform(0.05, 1.0))], deg)
+            x = [float(v) for v in rng.choice([0.0, float(rng.uniform(0.0, 0.6))], deg)]
+        g = make_graph(deg, 1, [(a, 0, 1.0, float(ps[a])) for a in range(deg)])
+        rep = check_feasibility(g, x, mode)
+        worst, witness = feasibility_reference(g, x, mode == "exhaustive")
+        assert rep.worst_violation == worst
+        assert rep.witness == witness
+
+
+def test_exhaustive_check_at_degree_20():
+    # x/p strictly descends with the edge id, so each sorted prefix sums in
+    # the order the subset lattice does: both modes must agree to the bit
+    deg = 20
+    rng = np.random.default_rng(20)
+    ps = rng.uniform(0.05, 0.5, deg)
+    x = [float(p * r) for p, r in zip(ps, np.linspace(1.3, 0.7, deg))]
+    g = make_graph(deg, 1, [(a, 0, 1.0, float(ps[a])) for a in range(deg)])
+    exh = check_feasibility(g, x, "exhaustive")
+    pre = check_feasibility(g, x, "prefix")
+    assert not exh.feasible
+    assert exh.witness[0] == ("b", 0) and len(exh.witness[1]) > 1
+    assert (exh.worst_violation, exh.witness) == (pre.worst_violation, pre.witness)
 
 
 def test_random_feasible_x_helper_is_feasible():

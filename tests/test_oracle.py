@@ -161,9 +161,7 @@ def test_events_match_brute_force_enumeration(sigma):
         g = random_instance(rng, max_a=3, max_b=3, max_edges=5)
         x = random_feasible_x(g, rng, sigma=sigma or 1.0)
         conds = oracle.conditional_bundles(g, "all")
-        rep = exact_event_probabilities(
-            g, x, sigma, conds, algorithm="simple" if sigma is None else "alg1"
-        )
+        rep = exact_event_probabilities(g, x, sigma, conds)
 
         def brute(*atoms):
             return brute_probability(g, x, sigma, atoms)
@@ -245,7 +243,6 @@ def test_atom_order_and_repeats_leave_values_unchanged(sigma):
     for _ in range(6):
         g = random_instance(rng, max_a=3, max_b=3, max_edges=5)
         x = random_feasible_x(g, rng, sigma=sigma or 1.0)
-        alg = "simple" if sigma is None else "alg1"
         conds = oracle.conditional_bundles(g, "all")
         # shuffle each side and repeat one of its atoms; the target also
         # repeats a given atom, which leaves the conditional unchanged
@@ -256,8 +253,8 @@ def test_atom_order_and_repeats_leave_values_unchanged(sigma):
             rng.shuffle(t)
             rng.shuffle(gv)
             mixed.append((tuple(t), tuple(gv)))
-        rep = exact_event_probabilities(g, x, sigma, conds, algorithm=alg)
-        rep2 = exact_event_probabilities(g, x, sigma, mixed, algorithm=alg)
+        rep = exact_event_probabilities(g, x, sigma, conds)
+        rep2 = exact_event_probabilities(g, x, sigma, mixed)
         assert rep2.edge_available == rep.edge_available
         for key, key2 in zip(conds, mixed):
             got = rep2.conditionals[key2]
@@ -359,3 +356,9 @@ def test_conditional_bundles():
     pc = oracle.conditional_bundles(g, "proposal-correlation")
     # edge 0=(a0,b0): other target b1, rivals at b0 are a0 and a1
     assert ((("not_proposed", 1, 0),), (("beaten_proposal", 0, 1), ("not_examined", 0))) in pc
+
+
+def test_unknown_bundle_is_refused():
+    g = make_graph(1, 1, [(0, 0, 1.0, 0.5)])
+    with pytest.raises(ValueError, match="unknown bundle 'lemma9'.*lemma7.*proposal-correlation"):
+        oracle.conditional_bundles(g, "lemma9")

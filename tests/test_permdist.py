@@ -146,6 +146,25 @@ def test_infeasible_targets_witness():
     assert err.value.violation == pytest.approx(0.25, abs=1e-9)
 
 
+def test_infeasible_witness_ignores_edges_off_the_support():
+    # 24 incident edges, 2 carrying mass: the witness must be the one the
+    # two edges give alone (edge ids 5, 17 there are 0, 1 here)
+    deg = 24
+    ps = np.random.default_rng(24).uniform(0.1, 0.9, deg)
+    g = make_graph(1, deg, [(0, b, 1.0, float(ps[b])) for b in range(deg)])
+    x = [0.0] * deg
+    x[5], x[17] = float(ps[5]), float(ps[17])  # their sum exceeds 1 - (1-p5)(1-p17)
+    pair = make_graph(1, 2, [(0, 0, 1.0, float(ps[5])), (0, 1, 1.0, float(ps[17]))])
+    with pytest.raises(InfeasibleTargets) as big:
+        build_proportional_distribution(g, 0, x)
+    with pytest.raises(InfeasibleTargets) as alone:
+        build_proportional_distribution(pair, 0, [x[5], x[17]])
+    assert big.value.vertex == alone.value.vertex == 0
+    assert big.value.violation == alone.value.violation > 0.0
+    assert big.value.witness == frozenset({5, 17})
+    assert alone.value.witness == frozenset({0, 1})
+
+
 def test_draw_identity_when_unshrunk():
     g = make_graph(1, 3, [(0, b, 1.0, 0.6) for b in range(3)])
     rng = np.random.default_rng(5)

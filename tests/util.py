@@ -91,6 +91,32 @@ def worst_subset_ratio(graph: StochasticGraph, x) -> float:
     return worst
 
 
+def feasibility_reference(graph: StochasticGraph, x, exhaustive: bool):
+    """Reference for ``lpmatch.check_feasibility``: (worst violation,
+    (vertex, witness)), the first maximum over vertices; at each vertex the
+    plain loop over every subset mask, or over the prefixes sorted by
+    descending x/p (ties by id), first maximum again."""
+    worst, witness = -math.inf, None
+    groups = [(("a", i), graph.edges_at_a[i]) for i in range(graph.a_count)]
+    groups += [(("b", j), graph.edges_at_b[j]) for j in range(graph.b_count)]
+    for key, incident in groups:
+        deg = len(incident)
+        if exhaustive:
+            sets = [[incident[i] for i in range(deg) if (mask >> i) & 1] for mask in range(1, 1 << deg)]
+        else:
+            order = sorted(incident, key=lambda e: (-(max(x[e], 0.0) / graph.edges[e].p), e))
+            sets = [order[: k + 1] for k in range(deg)]
+        for ids in sets:
+            s = 0.0
+            prod = 1.0
+            for e in ids:
+                s += x[e]
+                prod *= 1.0 - graph.edges[e].p
+            if s - (1.0 - prod) > worst:
+                worst, witness = s - (1.0 - prod), (key, frozenset(ids))
+    return (0.0, None) if witness is None else (worst, witness)
+
+
 def random_feasible_x(
     graph: StochasticGraph,
     rng: np.random.Generator,
