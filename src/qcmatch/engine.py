@@ -6,19 +6,21 @@ matching irrevocably; with a matched endpoint it is a consequence-free coin
 flip.  All four algorithms live here:
 
 * ``greedy_matching``   -- weight-descending scan, the 0.5 baseline,
-* ``simple_matching``   -- proposal rounding driven by proportional
-                           permutation distributions,
-* ``base_matching``     -- the same loop after shrinking LP values and
-                           padding B-side degrees with dummy edges,
-* ``apx_matching``      -- two-branch wrapper: either two passes of
-                           ``base_matching`` (second pass on edges left
-                           available) or one pass on the heavy edges with a
-                           reduced degree cap, as ``apx_plan`` decides.
+* ``proposal_round``    -- one proposal round driven by proportional
+                           permutation distributions: ``sigma=None`` is
+                           ``simple``; a float ``sigma`` shrinks the LP
+                           values and pads B-side degrees to ``sigma`` with
+                           dummy edges (``alg1``),
+* ``apx_matching``      -- two-branch wrapper: either two rounds at cap 1
+                           (the second on edges left available) or one
+                           round on the heavy edges with a reduced degree
+                           cap, as ``apx_plan`` decides.
 
 Every round is one rounding of the LP vector masked to the round's edges
-over the whole graph, so edge ids never change; dummy edges are appended
-and may block endpoints but never appear in reported matchings, weights,
-or logs.
+over one augmented graph, laid out by ``transform.add_dummy_edges``: the
+instance plus B vertex u's dummy as edge m + u at A vertex a_count + u,
+so edge ids never change.  Dummy edges may block endpoints but never
+appear in reported matchings, weights, or logs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .instance import RealizationState, StochasticGraph, sample_realization
+from .instance import RealizationState, StochasticGraph, check_x_length, sample_realization
 from .lpmatch import EPS
 from .permdist import PermDistribution, build_proportional_distribution, draw_modified_perm
 from .transform import TransformParams, add_dummy_edges, g_transform, heavy_degree_bound
@@ -112,6 +114,7 @@ class DistributionCache:
     of every trial on the same (graph, x) can reuse them."""
 
     def __init__(self, graph: StochasticGraph, x) -> None:
+        check_x_length(graph, x)
         self.graph = graph
         self.x = tuple(float(v) for v in x)
         self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], float], ...]] = {}
@@ -148,17 +151,18 @@ class _Round:
 
 
 def _pad_round(graph: StochasticGraph, x, sigma: float | None, edge_ids):
-    """The round's x is ``x`` on ``edge_ids`` and 0 elsewhere; unless
-    ``sigma`` is None (plain proposal rounding) it is padded to B degree
-    ``sigma`` with dummies and shrunk through the transform.  Returns
-    (augmented graph, augmented x, augmented shrunk x); each augmented A
-    vertex proposes edge e with probability exactly the shrunk x_e."""
+    """The round's x is ``x`` on ``edge_ids`` and 0 elsewhere, padded to B
+    degree ``sigma`` on ``add_dummy_edges``'s augmented graph and shrunk
+    through the transform; with ``sigma`` None (plain proposal rounding)
+    every dummy has mass 0 and nothing is shrunk.  Returns (augmented
+    graph, augmented x, augmented shrunk x); each augmented A vertex
+    proposes edge e with probability exactly the shrunk x_e."""
     x_round = [0.0] * len(graph.edges)
     for e in edge_ids:
         x_round[e] = float(x[e])
-    if sigma is None:  # no padding, no shrink: plain proposal rounding
-        return graph, tuple(x_round), tuple(x_round)
     aug, x_aug = add_dummy_edges(graph, x_round, sigma)
+    if sigma is None:
+        return aug, x_aug, x_aug
     return aug, x_aug, tuple(g_transform(np.array(x_aug), sigma).tolist())
 
 
@@ -221,19 +225,25 @@ def _vertex_outcomes(rnd: _Round, vertex: int) -> list[tuple[int, frozenset[int]
     return sorted(((k[0], k[1], v) for k, v in acc.items()), key=lambda t: (t[0], sorted(t[1])))
 
 
-def _proposal_pass(
+def proposal_round(
     graph: StochasticGraph,
     x,
     sigma: float | None,
-    edge_ids,
     state: RealizationState,
     rng: np.random.Generator,
-    cache: DistributionCache | None,
+    cache: DistributionCache | None = None,
+    edge_ids=None,
 ) -> RunResult:
-    """One proposal round over ``edge_ids``: walk the augmented A side in a
-    uniform random order; each vertex proposes its first realized edge; B
-    accepts first proposals only."""
-    rnd = (cache or DistributionCache(graph, x)).round_for(sigma, edge_ids)
+    """One proposal round over ``edge_ids`` (default: every edge): walk the
+    augmented A side in a uniform random order; each vertex examines a
+    permutation of its edges until its first realized one, which it
+    proposes; B accepts first proposals only.  ``sigma=None`` is plain
+    proportional rounding (``simple``) with marginals exactly ``x``; a
+    float ``sigma`` shrinks ``x`` through the transform and pads B degrees
+    to ``sigma`` with dummies, whose matches block endpoints but are not
+    reported (``alg1``)."""
+    ids = range(len(graph.edges)) if edge_ids is None else edge_ids
+    rnd = (cache or DistributionCache(graph, x)).round_for(sigma, ids)
     aug = rnd.aug
     log = [UNEXAMINED] * len(graph.edges)
     events: list[tuple[int, str]] = []
@@ -276,35 +286,6 @@ def _proposal_pass(
         matched_a=frozenset(matched_a),
         matched_b=frozenset(matched_b),
     )
-
-
-def simple_matching(
-    graph: StochasticGraph,
-    x,
-    state: RealizationState,
-    rng: np.random.Generator,
-    cache: DistributionCache | None = None,
-) -> RunResult:
-    """Proposal rounding with marginals exactly ``x``: uniform A order, each
-    vertex examines a proportional permutation until its first realized
-    edge, B vertices accept their first proposal."""
-    return _proposal_pass(graph, x, None, range(len(graph.edges)), state, rng, cache)
-
-
-def base_matching(
-    graph: StochasticGraph,
-    x,
-    sigma: float,
-    state: RealizationState,
-    rng: np.random.Generator,
-    cache: DistributionCache | None = None,
-    edge_subset=None,
-) -> RunResult:
-    """Shrink ``x`` through the transform, pad B degrees to ``sigma`` with
-    dummies, then run the proposal loop with the filtered permutation
-    sampler.  Dummy matches block endpoints but are not reported."""
-    ids = range(len(graph.edges)) if edge_subset is None else edge_subset
-    return _proposal_pass(graph, x, sigma, ids, state, rng, cache)
 
 
 def available_edges(graph: StochasticGraph, run: RunResult) -> frozenset[int]:
@@ -355,6 +336,7 @@ def apx_plan(graph: StochasticGraph, x, params: TransformParams) -> ApxPlan:
     """Classify edges by the shrunk-to-probability ratio at cap 1 and pick
     the branch.  The heavy branch refuses a heavy B degree above its bound,
     which no LP optimum has."""
+    check_x_length(graph, x)
     light, omega, lp_mass = classify_light(graph, x, params.tau)
     m = len(graph.edges)
     if omega >= params.lam * lp_mass:
@@ -380,16 +362,16 @@ def apx_matching(
     rng: np.random.Generator,
     cache: DistributionCache | None = None,
 ) -> RunResult:
-    """Two-branch rounding around ``base_matching`` as decided by
+    """Two-branch rounding around ``proposal_round`` as decided by
     ``apx_plan``; in the two-round branch the second pass runs on the edges
     still available after the first."""
     cache = cache or DistributionCache(graph, x)
     plan = apx_plan(graph, x, params)
-    run1 = base_matching(graph, x, plan.sigma, state, rng, cache, edge_subset=plan.edge_ids)
+    run1 = proposal_round(graph, x, plan.sigma, state, rng, cache, plan.edge_ids)
     if plan.branch == "heavy-prune":
         return replace(run1, branch=plan.branch)
 
-    run2 = base_matching(graph, x, 1.0, state, rng, cache, edge_subset=available_edges(graph, run1))
+    run2 = proposal_round(graph, x, 1.0, state, rng, cache, available_edges(graph, run1))
     rounds = dict(run1.rounds)
     rounds.update({e: 2 for e in run2.rounds})
     return RunResult(

@@ -75,6 +75,12 @@ class StochasticGraph:
         return tuple(tuple(v) for v in adj)
 
 
+def check_x_length(graph: StochasticGraph, x) -> None:
+    """Refuse a per-edge vector ``x`` whose length is not the edge count."""
+    if len(x) != len(graph.edges):
+        raise ValueError(f"x has {len(x)} entries but the graph has {len(graph.edges)} edges")
+
+
 def make_graph(a_count: int, b_count: int, triples) -> StochasticGraph:
     """Build a graph from ``(a, b, w, p)`` tuples in canonical order."""
     edges = tuple(

@@ -28,6 +28,10 @@ not fire, and each B vertex accepts the least key below 1.  The work is laid
 out slot by trial, so the minimum over a B vertex's slots is a few
 whole-row operations; there is no compaction of the proposals and no
 scatter.  Law-round tables hold only the columns that can carry mass.
+Proposers, columns and edges are those of the round's augmented graph
+(``engine._pad_round``, laid out by ``transform.add_dummy_edges``), which
+carries one dummy per B vertex in every round; round 2 of two-round
+``apx`` reuses round 1's.
 
 Greedy keeps its state edge-major.  A chunk's coins are drawn trial-major,
 ``rng.random((n, m))``, which fixes the random stream; they are compared
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ApxPlan, DistributionCache, _compile_round, _pad_round, _vertex_outcomes, apx_plan
-from .instance import StochasticGraph
+from .instance import StochasticGraph, check_x_length
 from .transform import TransformParams, g_transform
 
 CHUNK_SIZE = 1 << 16
@@ -69,8 +73,8 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
     """A proposal round as each augmented A vertex's walk-outcome law:
     cumulative masses, the proposed augmented edge (-1 for none), the
     vertex's incident edge ids and an outcomes x incident examined matrix.
-    Returns (slot table over the proposable edges, augmented edge count,
-    laws); the table's proposers are the laws' vertices in order."""
+    Returns (slot table over the proposable edges, augmented graph, laws);
+    the table's proposers are the laws' vertices in order."""
     rnd = _compile_round(graph, x, sigma, edge_ids, cache)
     laws = []
     for v in sorted(rnd.dists):
@@ -87,7 +91,7 @@ def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: Distribut
     owner = np.array([i for i, _ in pairs], dtype=np.int64)
     edge = np.array([e for _, e in pairs], dtype=np.int64)
     slots = _Slots(owner, edge, [e.b for e in rnd.aug.edges], [e.w for e in rnd.aug.edges], rnd.aug.b_count)
-    return slots, len(rnd.aug.edges), laws
+    return slots, rnd.aug, laws
 
 
 def _run_proposal_chunk(comp, n: int, rng: np.random.Generator):
@@ -96,9 +100,9 @@ def _run_proposal_chunk(comp, n: int, rng: np.random.Generator):
 
     Returns (per-trial weight, winner edges (n, n_b), examined flags (n, m)).
     """
-    slots, m_aug, laws = comp
+    slots, aug, laws = comp
     prop = np.empty((len(laws), n), dtype=np.int64)
-    exam = np.zeros((n, m_aug), dtype=bool)
+    exam = np.zeros((n, len(aug.edges)), dtype=bool)
     for i, (cum, target, incident, examined) in enumerate(laws):
         k = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
         prop[i] = target[k]
@@ -169,33 +173,24 @@ def _count_matches(win: np.ndarray, n_orig: int) -> np.ndarray:
     return np.bincount(win.ravel() + 1, minlength=n_orig + 1)[1:n_orig + 1]
 
 
-def _law_columns(graph: StochasticGraph):
-    """The column order of a law round: the graph's edges grouped by A
-    vertex, then B vertex u's dummy as proposer n_a + u with edge m + u.
-    Returns (original edge per edge column, owner per column, edge per
-    column)."""
-    m, n_a, n_b = len(graph.edges), graph.a_count, graph.b_count
-    edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
-    by_a = np.argsort(edge_a, kind="stable")
-    return by_a, np.concatenate((edge_a[by_a], n_a + np.arange(n_b))), np.concatenate((by_a, m + np.arange(n_b)))
-
-
 class _Proposers:
-    """The proposers of a law round on ``graph``: the A vertices, then each
-    B vertex's dummy, each drawing one uniform and one priority per trial.
-    Only the columns of ``_law_columns`` flagged ``live`` enter the slot
-    table: a column whose mass is 0 never fires, and leaving it out moves
-    no other column's stretch.  ``start[c]`` is the first live column of
-    ``owner[c]``'s group."""
+    """The proposers of a law round: the A vertices of the augmented graph
+    ``aug``, dummies included, each drawing one uniform and one priority
+    per trial.  The columns are the augmented edges grouped stably by A
+    vertex, and only those flagged in ``live`` (one flag per augmented
+    edge) enter the slot table: a column whose mass is 0 never fires, and
+    leaving it out moves no other column's stretch.  ``edge[c]`` is column
+    c's augmented edge and ``start[c]`` the first live column of its
+    owner's group."""
 
-    def __init__(self, graph: StochasticGraph, live: np.ndarray) -> None:
-        _, owner, edge = _law_columns(graph)
-        owner, edge = owner[live], edge[live]
-        self.n_prop = graph.a_count + graph.b_count
+    def __init__(self, aug: StochasticGraph, live: np.ndarray) -> None:
+        edge_a = np.array([e.a for e in aug.edges], dtype=np.int64)
+        by_a = np.argsort(edge_a, kind="stable")
+        self.edge = by_a[live[by_a]]
+        owner = edge_a[self.edge]
+        self.n_prop = aug.a_count
         self.start = np.searchsorted(owner, owner)
-        edge_b = np.concatenate(([e.b for e in graph.edges], np.arange(graph.b_count)))
-        edge_w = np.concatenate(([e.w for e in graph.edges], np.zeros(graph.b_count)))
-        self.slots = _Slots(owner, edge, edge_b, edge_w, graph.b_count)
+        self.slots = _Slots(owner, self.edge, [e.b for e in aug.edges], [e.w for e in aug.edges], aug.b_count)
 
 
 def _propose(props: _Proposers, law: np.ndarray, n: int, rng: np.random.Generator):
@@ -215,19 +210,6 @@ def _propose(props: _Proposers, law: np.ndarray, n: int, rng: np.random.Generato
     return props.slots.accept(miss, rng.random((n, props.n_prop)))
 
 
-def _round_law(graph: StochasticGraph, x, sigma: float | None, edge_ids) -> np.ndarray:
-    """Column law of a round that needs no examined-edge state: every A
-    vertex and every dummy proposes each edge of its walk's support with
-    probability the edge's shrunk x."""
-    aug, x_aug, xt_aug = _pad_round(graph, x, sigma, edge_ids)
-    xt = np.where(np.array(x_aug) > 1e-15, xt_aug, 0.0)
-    m = len(graph.edges)
-    dummy = np.zeros(graph.b_count)
-    dummy[[e.b for e in aug.edges[m:]]] = xt[m:]
-    by_a, _, _ = _law_columns(graph)
-    return np.concatenate((xt[:m][by_a], dummy))
-
-
 class _ApxContext:
     """Compiled state of two-round apx: round 1 as a draw from per-vertex
     walk-outcome laws, because the edges left available depend on the
@@ -236,18 +218,15 @@ class _ApxContext:
     def __init__(self, graph: StochasticGraph, x, plan: ApxPlan):
         self.graph = graph
         self.round1 = _compile_arrays(graph, x, plan.sigma, plan.edge_ids, DistributionCache(graph, x))
+        _, aug, _ = self.round1
         self.x = np.asarray(x, dtype=float)
-        by_a, _, _ = _law_columns(graph)
-        law = g_transform(self.x[by_a], 1.0)
-        live = law > 0.0
+        self.law = g_transform(self.x, 1.0)
         # round 2's live columns: edges that can carry mass, and every dummy
-        self.round2 = _Proposers(graph, np.concatenate((live, np.ones(graph.b_count, dtype=bool))))
-        self.cols, self.law = by_a[live], law[live]
+        self.round2 = _Proposers(aug, np.append(self.law > 0.0, np.ones(graph.b_count, dtype=bool)))
         self.edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
         # indexed by a round-1 winner (-1 is the last entry): its A vertex,
         # or a_count for a dummy edge and for nobody
-        _, m_aug, _ = self.round1
-        self.win_a = np.concatenate((self.edge_a, np.full(m_aug - len(self.edge_a) + 1, graph.a_count)))
+        self.win_a = np.minimum(np.append([e.a for e in aug.edges], graph.a_count), graph.a_count)
         self.edge_b_orig = np.array([e.b for e in graph.edges], dtype=np.int64)
         self.at_b = np.eye(graph.b_count)[self.edge_b_orig]
 
@@ -258,8 +237,10 @@ class _ApxContext:
         weights and per-edge match counts."""
         n, m = avail.shape
         gap = np.clip(1.0 - (avail * self.x) @ self.at_b, 0.0, 1.0)
-        law = np.concatenate((_transposed(avail)[self.cols] * self.law[:, None], _transposed(g_transform(gap, 1.0))))
-        weights, win = _propose(self.round2, law, n, rng)
+        # per augmented edge: x masked to the trial's available edges, then
+        # each dummy's gap
+        law = np.concatenate((_transposed(avail) * self.law[:, None], _transposed(g_transform(gap, 1.0))))
+        weights, win = _propose(self.round2, law[self.round2.edge], n, rng)
         return weights, _count_matches(win, m)
 
 
@@ -330,8 +311,8 @@ def run_batch(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_orig = len(graph.edges)
-    if x is not None and len(x) != n_orig:
-        raise ValueError(f"x has {len(x)} entries but the graph has {n_orig} edges")
+    if x is not None:
+        check_x_length(graph, x)
     branch: str | None = None
 
     if algorithm == "greedy":
@@ -352,9 +333,10 @@ def run_batch(
             def body(n, rng):
                 return _two_round_chunk(ctx, n, rng, n_orig)
         else:
-            law = _round_law(graph, x, sigma, edge_ids)
-            props = _Proposers(graph, law > 0.0)
-            law = law[law > 0.0, None]
+            aug, x_aug, xt_aug = _pad_round(graph, x, sigma, edge_ids)
+            xt = np.where(np.array(x_aug) > 1e-15, xt_aug, 0.0)
+            props = _Proposers(aug, xt > 0.0)
+            law = xt[props.edge, None]
 
             def body(n, rng):
                 weights, win = _propose(props, law, n, rng)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .instance import Edge, StochasticGraph
+from .instance import Edge, StochasticGraph, check_x_length
 
 #: width of the window around x = sigma where the limit branch is used
 _LIMIT_WINDOW = 1e-12
@@ -78,35 +78,37 @@ def g_ratio(x, sigma: float):
 
 
 def add_dummy_edges(
-    graph: StochasticGraph, x, sigma: float
+    graph: StochasticGraph, x, sigma: float | None
 ) -> tuple[StochasticGraph, tuple[float, ...]]:
     """Pad every B vertex to fractional degree exactly ``sigma``.
 
-    Each deficient B vertex gets one zero-weight, probability-one edge to a
-    fresh degree-one A vertex carrying the missing mass.  Original edge ids
-    are unchanged; dummies are appended.  Raises if some B vertex already
-    exceeds ``sigma`` beyond tolerance.
+    This is the one place that lays out the augmented graph of a proposal
+    round: B vertex u gets a zero-weight, probability-one dummy edge with
+    id ``m + u`` to a fresh degree-one A vertex ``a_count + u``.  The dummy
+    carries u's missing mass when that exceeds 1e-12 and exactly 0.0
+    otherwise, so a tight vertex's dummy never proposes; ``sigma=None``
+    (plain proposal rounding) gives every dummy mass 0.  Original edge ids
+    are unchanged.  Raises if some B vertex already exceeds ``sigma``
+    beyond tolerance.
     """
+    check_x_length(graph, x)
     x = [float(v) for v in x]
-    if len(x) != len(graph.edges):
-        raise ValueError("x must have one entry per edge")
-    new_edges = list(graph.edges)
+    m, n_a = len(graph.edges), graph.a_count
     new_x = list(x)
-    a_next = graph.a_count
     for u in range(graph.b_count):
-        deg = sum(x[e] for e in graph.edges_at_b[u])
-        if deg > sigma + DEGREE_EPS:
-            raise ValueError(
-                f"B vertex {u} has fractional degree {deg} > sigma={sigma}"
-            )
-        gap = sigma - min(deg, sigma)
-        if gap > 1e-12:
-            new_edges.append(
-                Edge(id=len(new_edges), a=a_next, b=u, w=0.0, p=1.0, is_dummy=True)
-            )
-            new_x.append(gap)
-            a_next += 1
-    aug = StochasticGraph(a_count=a_next, b_count=graph.b_count, edges=tuple(new_edges))
+        gap = 0.0
+        if sigma is not None:
+            deg = sum(x[e] for e in graph.edges_at_b[u])
+            if deg > sigma + DEGREE_EPS:
+                raise ValueError(
+                    f"B vertex {u} has fractional degree {deg} > sigma={sigma}"
+                )
+            gap = sigma - min(deg, sigma)
+        new_x.append(gap if gap > 1e-12 else 0.0)
+    dummies = tuple(
+        Edge(id=m + u, a=n_a + u, b=u, w=0.0, p=1.0, is_dummy=True) for u in range(graph.b_count)
+    )
+    aug = StochasticGraph(a_count=n_a + graph.b_count, b_count=graph.b_count, edges=graph.edges + dummies)
     return aug, tuple(new_x)
 
 

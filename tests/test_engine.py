@@ -13,10 +13,9 @@ from qcmatch.engine import (
     _compile_round,
     apx_matching,
     available_edges,
-    base_matching,
     classify_light,
     greedy_matching,
-    simple_matching,
+    proposal_round,
     validate_run_result,
 )
 from qcmatch.instance import RealizationState, make_graph
@@ -63,7 +62,7 @@ def test_greedy_path_expected_weight():
 def test_simple_empty_graph():
     g = make_graph(1, 1, [])
     st = RealizationState(np.random.default_rng(0))
-    run = simple_matching(g, [], st, np.random.default_rng(1))
+    run = proposal_round(g, [], None, st, np.random.default_rng(1))
     assert run.matching == frozenset() and run.weight == 0.0
 
 
@@ -71,7 +70,7 @@ def test_simple_sure_edge_always_matches():
     g = make_graph(1, 1, [(0, 0, 1.0, 1.0)])
     for t in range(20):
         rng = rng_for_trial(3, t)
-        run = simple_matching(g, [1.0], RealizationState(rng), rng)
+        run = proposal_round(g, [1.0], None, RealizationState(rng), rng)
         assert run.matching == {0}
         validate_run_result(g, run)
 
@@ -85,7 +84,7 @@ def test_simple_two_proposers_probability():
     n = 20000
     for t in range(n):
         rng = rng_for_trial(4, t)
-        run = simple_matching(g, [0.5, 0.5], RealizationState(rng), rng, cache)
+        run = proposal_round(g, [0.5, 0.5], None, RealizationState(rng), rng, cache)
         hits += bool(run.matching)
     assert abs(hits / n - 0.75) <= 0.015
 
@@ -100,7 +99,7 @@ def test_base_matching_rejects_overfull_vertex():
     g = make_graph(2, 1, [(0, 0, 1.0, 1.0), (1, 0, 1.0, 1.0)])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="fractional degree"):
-        base_matching(g, [0.7, 0.7], 1.0, RealizationState(rng), rng)
+        proposal_round(g, [0.7, 0.7], 1.0, RealizationState(rng), rng)
 
 
 def test_available_edges_examples():
@@ -148,7 +147,7 @@ def test_available_edges_examples():
     matched_runs = 0
     for t in range(20):
         rng = rng_for_trial(2, t)
-        run1 = base_matching(g1, [1.0], 1.0, RealizationState(rng), rng)
+        run1 = proposal_round(g1, [1.0], 1.0, RealizationState(rng), rng)
         if run1.matching:
             matched_runs += 1
             assert available_edges(g1, run1) == frozenset()
@@ -167,8 +166,8 @@ def test_query_commit_soundness_random_sweep():
             st = RealizationState(trial)
             for run in (
                 greedy_matching(g, RealizationState(rng_for_trial(1, t))),
-                simple_matching(g, sol.x, RealizationState(rng_for_trial(2, t)), rng_for_trial(3, t), cache),
-                base_matching(g, sol.x, 1.0, st, trial, cache),
+                proposal_round(g, sol.x, None, RealizationState(rng_for_trial(2, t)), rng_for_trial(3, t), cache),
+                proposal_round(g, sol.x, 1.0, st, trial, cache),
                 apx_matching(g, sol.x, params, RealizationState(rng_for_trial(4, t)), rng_for_trial(5, t), cache),
             ):
                 validate_run_result(g, run)
@@ -181,7 +180,7 @@ def test_coinflip_only_with_matched_endpoint():
         g = random_instance(rng, p_lo=0.5)
         x = random_feasible_x(g, rng)
         trial = rng_for_trial(int(rng.integers(1 << 30)), 0)
-        run = base_matching(g, x, 1.0, RealizationState(trial), trial)
+        run = proposal_round(g, x, 1.0, RealizationState(trial), trial)
         validate_run_result(g, run)
         seen_coinflip = seen_coinflip or any(
             s in (COINFLIP_REALIZED, COINFLIP_NOT_REALIZED) for s in run.edge_log
@@ -339,6 +338,48 @@ def test_compile_round_masks_x_to_its_edges(sigma):
                 assert all(e in subset or rnd.aug.edges[e].is_dummy for e in perm)
 
 
+def test_every_round_pads_on_one_augmented_graph():
+    # B vertex u's dummy is edge m + u at A vertex a_count + u whatever the
+    # cap and the round's edges; a B vertex already at the cap gets a
+    # dummy of mass 0
+    g = make_graph(
+        3, 3,
+        [(0, 0, 1.0, 0.5), (0, 1, 0.9, 0.6), (1, 0, 0.8, 0.7), (1, 2, 1.1, 0.5),
+         (2, 1, 0.7, 0.8), (2, 2, 1.0, 0.6), (0, 2, 0.6, 0.9)],
+    )
+    x = [0.5, 0.2, 0.5, 0.2, 0.3, 0.3, 0.3]
+    m = len(g.edges)
+    dummies = [(m + u, g.a_count + u, u) for u in range(g.b_count)]
+    augs = []
+    for sigma in (None, 1.0, 0.53):
+        for edge_ids in ([1, 3, 4, 5], range(m)):
+            if sigma == 0.53 and len(edge_ids) == m:
+                continue  # B vertex 0 has degree 1 over every edge
+            aug, x_aug, xt_aug = engine._pad_round(g, x, sigma, edge_ids)
+            assert aug.edges[:m] == g.edges
+            assert [(e.id, e.a, e.b) for e in aug.edges[m:]] == dummies
+            assert all(e.is_dummy for e in aug.edges[m:])
+            if sigma is None:
+                assert x_aug[m:] == (0.0,) * g.b_count and xt_aug == x_aug
+            augs.append(aug)
+    assert all(aug == augs[0] for aug in augs)
+    assert aug.a_count == g.a_count + g.b_count
+    _, x_aug, _ = engine._pad_round(g, x, 1.0, range(m))
+    assert x_aug[m:] == (0.0, pytest.approx(0.5), pytest.approx(0.2))
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.4, 0.2], [0.3]])
+def test_engine_rejects_x_of_wrong_length(x):
+    g = make_graph(2, 2, [(0, 0, 1.0, 0.5), (1, 1, 1.0, 0.5)])
+    rng = np.random.default_rng(0)
+    msg = f"x has {len(x)} entries but the graph has 2 edges"
+    for sigma in (None, 1.0):
+        with pytest.raises(ValueError, match=msg):
+            proposal_round(g, x, sigma, RealizationState(rng), rng)
+    with pytest.raises(ValueError, match=msg):
+        apx_matching(g, x, TransformParams(), RealizationState(rng), rng)
+
+
 def test_rounds_compile_once_per_cap_and_edge_set(monkeypatch):
     # a shared cache compiles each (cap, edge set) once, however many trials
     # reuse it; 4 edges allow at most 16 edge sets at cap 1
@@ -355,7 +396,7 @@ def test_rounds_compile_once_per_cap_and_edge_set(monkeypatch):
     cache = DistributionCache(g, sol.x)
     for t in range(200):
         rng = rng_for_trial(5, t)
-        base_matching(g, sol.x, params.sigma, RealizationState(rng), rng, cache)
+        proposal_round(g, sol.x, params.sigma, RealizationState(rng), rng, cache)
         rng = rng_for_trial(6, t)
         run = apx_matching(g, sol.x, params, RealizationState(rng), rng, cache)
         assert run.branch == "two-round"

@@ -7,13 +7,12 @@ from qcmatch.engine import (
     apx_matching,
     apx_plan,
     available_edges,
-    base_matching,
     greedy_matching,
-    simple_matching,
+    proposal_round,
 )
 from qcmatch.instance import RealizationState, generate_instance, make_graph
 from qcmatch.lpmatch import solve_lp_match
-from qcmatch.transform import TransformParams, g_transform
+from qcmatch.transform import TransformParams, add_dummy_edges, g_transform
 from util import (
     accept_min_priority,
     greedy_expected_weight_brute_force,
@@ -27,22 +26,21 @@ from util import (
 )
 
 
+def engine_run(graph, x, algorithm, params, rng, cache):
+    """One per-trial engine run of ``algorithm``, its coins drawn from
+    ``rng``."""
+    st = RealizationState(rng)
+    if algorithm == "greedy":
+        return greedy_matching(graph, st)
+    if algorithm == "apx":
+        return apx_matching(graph, x, params, st, rng, cache)
+    return proposal_round(graph, x, None if algorithm == "simple" else params.sigma, st, rng, cache)
+
+
 def reference_mean(graph, x, algorithm, params, trials, seed):
     cache = DistributionCache(graph, x) if x is not None else None
-    total = 0.0
-    for t in range(trials):
-        rng = rng_for_trial(seed, t)
-        st = RealizationState(rng)
-        if algorithm == "greedy":
-            run = greedy_matching(graph, st)
-        elif algorithm == "simple":
-            run = simple_matching(graph, x, st, rng, cache)
-        elif algorithm == "alg1":
-            run = base_matching(graph, x, params.sigma, st, rng, cache)
-        else:
-            run = apx_matching(graph, x, params, st, rng, cache)
-        total += run.weight
-    return total / trials
+    return sum(engine_run(graph, x, algorithm, params, rng_for_trial(seed, t), cache).weight
+               for t in range(trials)) / trials
 
 
 @pytest.mark.parametrize("algorithm", ["greedy", "simple", "alg1", "apx"])
@@ -119,12 +117,15 @@ def test_greedy_chunk_agrees_with_engine_trial_by_trial(n):
 
 def _law_columns_and_masses(g, rng, trials=None):
     """The law-round column order (edges grouped by A vertex, then B vertex
-    u's dummy as proposer n_a + u with edge m + u) and random masses: each
+    u's dummy as proposer n_a + u with edge m + u), checked against the
+    augmented graph of ``add_dummy_edges``, and random masses: each
     proposer spreads at most 1 over its columns, about a third of them 0.
     With ``trials`` the masses are drawn per trial."""
     m, n_a = len(g.edges), g.a_count
     columns = [(e.a, e.id) for e in sorted(g.edges, key=lambda e: e.a)]
     columns += [(n_a + u, m + u) for u in range(g.b_count)]
+    aug, _ = add_dummy_edges(g, [0.0] * m, None)
+    assert columns == [(e.a, e.id) for e in sorted(aug.edges, key=lambda e: e.a)]
     owners = np.array([o for o, _ in columns])
 
     def draw():
@@ -141,10 +142,13 @@ def _law_columns_and_masses(g, rng, trials=None):
 
 
 def _aug_edges(g):
-    """B endpoint and weight of every edge and then of every dummy."""
+    """The augmented graph of ``add_dummy_edges``, and the B endpoint and
+    weight of every edge and then of every dummy, checked against it."""
     edge_b = [e.b for e in g.edges] + list(range(g.b_count))
     edge_w = [e.w for e in g.edges] + [0.0] * g.b_count
-    return edge_b, edge_w
+    aug, _ = add_dummy_edges(g, [0.0] * len(g.edges), None)
+    assert [e.b for e in aug.edges] == edge_b and [e.w for e in aug.edges] == edge_w
+    return aug, edge_b, edge_w
 
 
 def _assert_round_matches_replay(weights, win, ref_win, edge_w):
@@ -162,12 +166,15 @@ def test_law_round_kernel_agrees_with_replay_trial_by_trial(n):
     for k in range(6):
         g = _greedy_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 16)))
         n_prop = g.a_count + g.b_count
-        edge_b, edge_w = _aug_edges(g)
+        aug, edge_b, edge_w = _aug_edges(g)
         for per_trial in (False, True):
             columns, law = _law_columns_and_masses(g, rng, n if per_trial else None)
             live = (law > 0.0).any(axis=0) if per_trial else law > 0.0
-            props = mcsim._Proposers(g, live)
+            live_by_edge = np.zeros(len(aug.edges), dtype=bool)
+            live_by_edge[[e for _, e in columns]] = live
+            props = mcsim._Proposers(aug, live_by_edge)
             assert len(props.slots.owner) == live.sum()
+            assert props.edge.tolist() == [e for (_, e), keep in zip(columns, live) if keep]
             kernel_law = law[:, live].T if per_trial else law[live, None]
             weights, win = mcsim._propose(props, kernel_law, n, np.random.default_rng(k))
             draws = np.random.default_rng(k)
@@ -185,9 +192,8 @@ def test_outcome_round_kernel_agrees_with_replay_trial_by_trial(n):
         sigma = TransformParams().sigma
         comp = mcsim._compile_arrays(g, x, sigma, range(len(g.edges)), DistributionCache(g, x))
         weights, win, exam = mcsim._run_proposal_chunk(comp, n, np.random.default_rng(k))
-        _, m_aug, laws = comp
-        aug = engine._pad_round(g, x, sigma, range(len(g.edges)))[0]
-        assert m_aug == len(aug.edges)
+        _, aug, laws = comp
+        assert aug == engine._pad_round(g, x, sigma, range(len(g.edges)))[0]
         draws = np.random.default_rng(k)
         r = [draws.random(n) for _ in laws]
         props, examined = outcome_round_proposals(laws, r)
@@ -199,8 +205,8 @@ def test_outcome_round_kernel_agrees_with_replay_trial_by_trial(n):
 def test_simple_slot_table_has_no_dummy_columns():
     g = _mixed_3x3()
     x = solve_lp_match(g).x
-    law = mcsim._round_law(g, x, None, range(len(g.edges)))
-    props = mcsim._Proposers(g, law > 0.0)
+    aug, x_aug, _ = engine._pad_round(g, x, None, range(len(g.edges)))
+    props = mcsim._Proposers(aug, np.array(x_aug) > 1e-15)
     assert len(props.slots.owner) == sum(1 for v in x if v > 1e-15)
     assert props.slots.edge.max() < len(g.edges)
 
@@ -343,7 +349,7 @@ def test_apx_round2_edge_frequencies_agree_with_engine():
     avail_sets = set()
     for t in range(1000):
         rng = rng_for_trial(16, t)
-        run1 = base_matching(g, sol.x, 1.0, RealizationState(rng), rng, cache)
+        run1 = proposal_round(g, sol.x, 1.0, RealizationState(rng), rng, cache)
         avail_sets.add(available_edges(g, run1))
     assert len(avail_sets) >= 20
     hits_ref = np.zeros(len(g.edges))
@@ -421,14 +427,8 @@ def test_law_round_edge_frequencies_agree_with_engine(algorithm):
     ref_trials = 20000
     hits_ref = np.zeros(len(g.edges))
     for t in range(ref_trials):
-        rng = rng_for_trial(23, t)
-        st = RealizationState(rng)
-        if algorithm == "simple":
-            run = simple_matching(g, x, st, rng, cache)
-        elif algorithm == "alg1":
-            run = base_matching(g, x, params.sigma, st, rng, cache)
-        else:
-            run = apx_matching(g, x, params, st, rng, cache)
+        run = engine_run(g, x, algorithm, params, rng_for_trial(23, t), cache)
+        if algorithm == "apx":
             assert run.branch == "heavy-prune"
         hits_ref[list(run.matching)] += 1
     trials = 200000
@@ -465,7 +465,7 @@ def test_round1_draw_at_the_support_cap_agrees_with_engine():
     examined_ref = np.zeros(m)
     for t in range(ref_trials):
         rng = rng_for_trial(31, t)
-        run = base_matching(g, x, plan.sigma, RealizationState(rng), rng, cache, edge_subset=plan.edge_ids)
+        run = proposal_round(g, x, plan.sigma, RealizationState(rng), rng, cache, plan.edge_ids)
         matched_ref[list(run.matching)] += 1
         examined_ref += np.array(run.edge_log) != engine.UNEXAMINED
     trials = 200000

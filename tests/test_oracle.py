@@ -362,3 +362,11 @@ def test_unknown_bundle_is_refused():
     g = make_graph(1, 1, [(0, 0, 1.0, 0.5)])
     with pytest.raises(ValueError, match="unknown bundle 'lemma9'.*lemma7.*proposal-correlation"):
         oracle.conditional_bundles(g, "lemma9")
+
+
+@pytest.mark.parametrize("sigma", [1.0, None], ids=["sigma1", "simple"])
+@pytest.mark.parametrize("x", [[0.3, 0.4, 0.2], [0.3]])
+def test_oracle_rejects_x_of_wrong_length(sigma, x):
+    g = make_graph(2, 2, [(0, 0, 1.0, 0.5), (1, 1, 1.0, 0.5)])
+    with pytest.raises(ValueError, match=f"x has {len(x)} entries but the graph has 2 edges"):
+        exact_event_probabilities(g, x, sigma)

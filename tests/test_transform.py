@@ -63,7 +63,8 @@ def test_g_ratio_limit_at_zero():
 def test_add_dummy_edges():
     g = make_graph(1, 1, [(0, 0, 1.0, 1.0)])
     aug, x2 = add_dummy_edges(g, [1.0], 1.0)
-    assert len(aug.edges) == 1  # already tight: no dummy
+    assert len(aug.edges) == 2 and aug.edges[1].a == 1  # already tight: a mass-0 dummy
+    assert x2 == (1.0, 0.0)
 
     aug, x2 = add_dummy_edges(g, [0.3], 1.0)
     assert len(aug.edges) == 2
