@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import mcsim, oracle, verify
 from .engine import ALGORITHMS
-from .instance import GENERATOR_MODELS, InstanceError, generate_instance, load_instance, save_instance
+from .instance import GENERATOR_MODELS, InstanceError, check_x_length, generate_instance, load_instance, save_instance
 from .lpmatch import check_feasibility, solution_from_json, solution_to_json, solve_lp_match
 from .transform import TransformParams
 
@@ -37,6 +37,41 @@ def _read_json(path: str) -> dict:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether a JSON value is a ``kind``; ints count as floats, bools as
+    neither."""
+    kinds = (int, float) if kind is float else kind
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _field(path: str, obj, key: str, kind: type):
+    """``obj[key]`` read from the JSON file ``path``, refused unless ``obj``
+    is an object holding a ``kind`` there."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {key!r}")
+    if not _is_a(obj[key], kind):
+        raise ValueError(f"{path}: key {key!r} must hold a {kind.__name__}, got {obj[key]!r}")
+    return kind(obj[key])
+
+
+def _load_solution(path: str, graph):
+    """The LP solution in ``path``, refused unless it is an object with a
+    numeric ``objective`` and one number in ``x`` per edge of ``graph``."""
+    obj = _read_json(path)
+    _field(path, obj, "objective", float)
+    x = _field(path, obj, "x", list)
+    for i, v in enumerate(x):
+        if not _is_a(v, float):
+            raise ValueError(f"{path}: x[{i}] must hold a float, got {v!r}")
+    try:
+        check_x_length(graph, x)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return solution_from_json(obj)
 
 
 def _load_graph(path: str):
@@ -85,9 +120,7 @@ def cmd_run(args) -> int:
     if args.alg != "greedy":
         if not args.solution:
             raise ValueError(f"--solution is required for --alg {args.alg}")
-        sol = solution_from_json(_read_json(args.solution))
-        if len(sol.x) != len(graph.edges):
-            raise ValueError("solution length does not match instance")
+        sol = _load_solution(args.solution, graph)
         x = sol.x
         lp_objective = sol.objective
     res = mcsim.run_batch(
@@ -125,10 +158,7 @@ _EVENT_CHOICES = ("lemma7", "lemma8", "all")
 def cmd_oracle(args) -> int:
     graph = _load_graph(args.instance)
     if args.solution:
-        sol = solution_from_json(_read_json(args.solution))
-        if len(sol.x) != len(graph.edges):
-            raise ValueError("solution length does not match instance")
-        x = sol.x
+        x = _load_solution(args.solution, graph).x
     else:
         x = solve_lp_match(graph).x
     conds = []
@@ -173,7 +203,7 @@ def _probe_distribution(args) -> int:
 
     graph = _load_graph(args.dist_instance)
     if args.dist_solution:
-        x = solution_from_json(_read_json(args.dist_solution)).x
+        x = _load_solution(args.dist_solution, graph).x
     else:
         x = solve_lp_match(graph).x
     v = args.dist_vertex
@@ -198,22 +228,24 @@ def _probe_distribution(args) -> int:
 
 
 def cmd_report(args) -> int:
-    sol = _read_json(args.solution)
-    objective = float(sol["objective"])
+    objective = _field(args.solution, _read_json(args.solution), "objective", float)
     opt = None
     if args.oracle:
-        opt = _read_json(args.oracle).get("expected_opt")
+        orc = _read_json(args.oracle)
+        # above oracle.EXPECTED_OPT_EDGE_CAP edges the oracle reports no optimum
+        if not isinstance(orc, dict) or "expected_opt" in orc:
+            opt = _field(args.oracle, orc, "expected_opt", float)
     rows = []
     for run_path in args.run:
         run = _read_json(run_path)
-        mean = float(run["mean_weight"])
+        mean = _field(run_path, run, "mean_weight", float)
         row = {
-            "algorithm": run["algorithm"],
+            "algorithm": _field(run_path, run, "algorithm", str),
             "mean_weight": mean,
-            "stderr": float(run["stderr"]),
+            "stderr": _field(run_path, run, "stderr", float),
             "ratio_vs_lp": mean / objective if objective > 0 else None,
             "ratio_vs_opt": (mean / opt) if opt else None,
-            "branch": run.get("branch"),
+            "branch": None if run.get("branch") is None else _field(run_path, run, "branch", str),
         }
         rows.append(row)
     payload = {"lp_objective": objective, "expected_opt": opt, "rows": rows}

@@ -21,18 +21,23 @@ over one augmented graph, laid out by ``transform.add_dummy_edges``: the
 instance plus B vertex u's dummy as edge m + u at A vertex a_count + u,
 so edge ids never change.  Dummy edges may block endpoints but never
 appear in reported matchings, weights, or logs.
+
+A ``DistributionCache`` carries the instance (graph, x); ``_compile_round``
+compiles one round of it for the engine, the oracle and ``mcsim``, and
+builds permutation distributions only when a walk or its law needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .instance import RealizationState, StochasticGraph, check_x_length, sample_realization
 from .lpmatch import EPS
-from .permdist import PermDistribution, build_proportional_distribution, draw_modified_perm
+from .permdist import SUPPORT_FLOOR, PermDistribution, build_proportional_distribution, draw_modified_perm
 from .transform import TransformParams, add_dummy_edges, g_transform, heavy_degree_bound
 
 UNEXAMINED = "unexamined"
@@ -109,9 +114,9 @@ def greedy_matching(graph: StochasticGraph, state: RealizationState) -> RunResul
 # ---------------------------------------------------------------------------
 
 class DistributionCache:
-    """Memo for proportional distributions keyed by (vertex, incident edge
-    subset) and for compiled rounds keyed by (cap, edge ids), so every round
-    of every trial on the same (graph, x) can reuse them."""
+    """The instance (graph, x) of every round, with memos for distributions
+    keyed by (vertex, incident edge subset) and for compiled rounds keyed
+    by (cap, edge ids), shared by every round of every trial."""
 
     def __init__(self, graph: StochasticGraph, x) -> None:
         check_x_length(graph, x)
@@ -123,7 +128,7 @@ class DistributionCache:
     def round_for(self, sigma: float | None, edge_ids) -> "_Round":
         key = (sigma, tuple(sorted(edge_ids)))
         if key not in self._rounds:
-            self._rounds[key] = _compile_round(self.graph, self.x, sigma, key[1], self)
+            self._rounds[key] = _compile_round(self, sigma, key[1])
         return self._rounds[key]
 
     def support_for(self, vertex: int, edge_ids: tuple[int, ...]):
@@ -141,58 +146,54 @@ class DistributionCache:
 @dataclass
 class _Round:
     """One compiled proposal round: the whole graph with dummies appended
-    (original edge ids are the augmented prefix), and x zero outside the
-    round's edges."""
+    (original edge ids are the augmented prefix), x zero outside the
+    round's edges, and x shrunk.  Each augmented A vertex proposes edge e
+    with probability exactly ``law[e]``."""
 
+    cache: DistributionCache
     aug: StochasticGraph
     x_aug: tuple[float, ...]
     xt_aug: tuple[float, ...]
-    dists: dict[int, PermDistribution]
+
+    @cached_property
+    def law(self) -> np.ndarray:
+        """The shrunk x of each augmented edge, 0 off the support."""
+        return np.where(np.array(self.x_aug) > SUPPORT_FLOOR, self.xt_aug, 0.0)
+
+    @cached_property
+    def dists(self) -> dict[int, PermDistribution]:
+        """Each augmented A vertex's permutation distribution over its
+        support, built on first use: a law round meets no support cap."""
+        x_aug, n_a = self.x_aug, self.cache.graph.a_count
+        dists: dict[int, PermDistribution] = {}
+        for v in range(self.aug.a_count):
+            incident = self.aug.edges_at_a[v]
+            support_edges = tuple(e for e in incident if x_aug[e] > SUPPORT_FLOOR)
+            if not support_edges:
+                continue
+            if v < n_a:
+                support = self.cache.support_for(v, support_edges)
+            else:
+                # dummy vertex: single p=1 edge with mass x, rest on the empty perm
+                (d,) = support_edges
+                q = min(x_aug[d], 1.0)
+                support = (((d,), q),) if q >= 1.0 - 1e-15 else (((), 1.0 - q), ((d,), q))
+            dists[v] = PermDistribution(
+                vertex=v, support=support, targets={e: x_aug[e] for e in incident}
+            )
+        return dists
 
 
-def _pad_round(graph: StochasticGraph, x, sigma: float | None, edge_ids):
-    """The round's x is ``x`` on ``edge_ids`` and 0 elsewhere, padded to B
-    degree ``sigma`` on ``add_dummy_edges``'s augmented graph and shrunk
-    through the transform; with ``sigma`` None (plain proposal rounding)
-    every dummy has mass 0 and nothing is shrunk.  Returns (augmented
-    graph, augmented x, augmented shrunk x); each augmented A vertex
-    proposes edge e with probability exactly the shrunk x_e."""
-    x_round = [0.0] * len(graph.edges)
-    for e in edge_ids:
-        x_round[e] = float(x[e])
-    aug, x_aug = add_dummy_edges(graph, x_round, sigma)
-    if sigma is None:
-        return aug, x_aug, x_aug
-    return aug, x_aug, tuple(g_transform(np.array(x_aug), sigma).tolist())
-
-
-def _compile_round(
-    graph: StochasticGraph,
-    x,
-    sigma: float | None,
-    edge_ids,
-    cache: DistributionCache,
-) -> _Round:
-    """``_pad_round`` plus each augmented A vertex's permutation
-    distribution over its support."""
-    aug, x_aug, xt_aug = _pad_round(graph, x, sigma, edge_ids)
-    dists: dict[int, PermDistribution] = {}
-    for v in range(aug.a_count):
-        incident = aug.edges_at_a[v]
-        support_edges = tuple(e for e in incident if x_aug[e] > 1e-15)
-        if not support_edges:
-            continue
-        if v < graph.a_count:
-            support = cache.support_for(v, support_edges)
-        else:
-            # dummy vertex: single p=1 edge with mass x, rest on the empty perm
-            (d,) = support_edges
-            q = min(x_aug[d], 1.0)
-            support = (((d,), q),) if q >= 1.0 - 1e-15 else (((), 1.0 - q), ((d,), q))
-        dists[v] = PermDistribution(
-            vertex=v, support=support, targets={e: x_aug[e] for e in incident}
-        )
-    return _Round(aug=aug, x_aug=x_aug, xt_aug=xt_aug, dists=dists)
+def _compile_round(cache: DistributionCache, sigma: float | None, edge_ids) -> _Round:
+    """The round's x is ``cache.x`` on ``edge_ids`` and 0 elsewhere, padded
+    to B degree ``sigma`` on ``add_dummy_edges``'s augmented graph and
+    shrunk through the transform; with ``sigma`` None (plain proposal
+    rounding) every dummy has mass 0 and nothing is shrunk."""
+    ids = set(edge_ids)
+    x_round = [v if e in ids else 0.0 for e, v in enumerate(cache.x)]
+    aug, x_aug = add_dummy_edges(cache.graph, x_round, sigma)
+    xt_aug = x_aug if sigma is None else tuple(g_transform(np.array(x_aug), sigma).tolist())
+    return _Round(cache, aug, x_aug, xt_aug)
 
 
 def _vertex_outcomes(rnd: _Round, vertex: int) -> list[tuple[int, frozenset[int], float]]:
@@ -226,24 +227,22 @@ def _vertex_outcomes(rnd: _Round, vertex: int) -> list[tuple[int, frozenset[int]
 
 
 def proposal_round(
-    graph: StochasticGraph,
-    x,
+    cache: DistributionCache,
     sigma: float | None,
     state: RealizationState,
     rng: np.random.Generator,
-    cache: DistributionCache | None = None,
     edge_ids=None,
 ) -> RunResult:
-    """One proposal round over ``edge_ids`` (default: every edge): walk the
-    augmented A side in a uniform random order; each vertex examines a
-    permutation of its edges until its first realized one, which it
-    proposes; B accepts first proposals only.  ``sigma=None`` is plain
-    proportional rounding (``simple``) with marginals exactly ``x``; a
-    float ``sigma`` shrinks ``x`` through the transform and pads B degrees
-    to ``sigma`` with dummies, whose matches block endpoints but are not
-    reported (``alg1``)."""
-    ids = range(len(graph.edges)) if edge_ids is None else edge_ids
-    rnd = (cache or DistributionCache(graph, x)).round_for(sigma, ids)
+    """One proposal round on ``cache``'s (graph, x) over ``edge_ids``
+    (default: every edge): walk the augmented A side in a uniform random
+    order; each vertex examines a permutation of its edges until its first
+    realized one, which it proposes; B accepts first proposals only.
+    ``sigma=None`` is plain proportional rounding (``simple``) with
+    marginals exactly ``x``; a float ``sigma`` shrinks ``x`` through the
+    transform and pads B degrees to ``sigma`` with dummies, whose matches
+    block endpoints but are not reported (``alg1``)."""
+    graph = cache.graph
+    rnd = cache.round_for(sigma, range(len(graph.edges)) if edge_ids is None else edge_ids)
     aug = rnd.aug
     log = [UNEXAMINED] * len(graph.edges)
     events: list[tuple[int, str]] = []
@@ -355,23 +354,20 @@ def apx_plan(graph: StochasticGraph, x, params: TransformParams) -> ApxPlan:
 
 
 def apx_matching(
-    graph: StochasticGraph,
-    x,
+    cache: DistributionCache,
     params: TransformParams,
     state: RealizationState,
     rng: np.random.Generator,
-    cache: DistributionCache | None = None,
 ) -> RunResult:
-    """Two-branch rounding around ``proposal_round`` as decided by
-    ``apx_plan``; in the two-round branch the second pass runs on the edges
-    still available after the first."""
-    cache = cache or DistributionCache(graph, x)
-    plan = apx_plan(graph, x, params)
-    run1 = proposal_round(graph, x, plan.sigma, state, rng, cache, plan.edge_ids)
+    """Two-branch rounding around ``proposal_round`` on ``cache``'s
+    (graph, x), as decided by ``apx_plan``; in the two-round branch the
+    second pass runs on the edges still available after the first."""
+    plan = apx_plan(cache.graph, cache.x, params)
+    run1 = proposal_round(cache, plan.sigma, state, rng, plan.edge_ids)
     if plan.branch == "heavy-prune":
         return replace(run1, branch=plan.branch)
 
-    run2 = proposal_round(graph, x, 1.0, state, rng, cache, available_edges(graph, run1))
+    run2 = proposal_round(cache, 1.0, state, rng, available_edges(cache.graph, run1))
     rounds = dict(run1.rounds)
     rounds.update({e: 2 for e in run2.rounds})
     return RunResult(

@@ -29,9 +29,9 @@ out slot by trial, so the minimum over a B vertex's slots is a few
 whole-row operations; there is no compaction of the proposals and no
 scatter.  Law-round tables hold only the columns that can carry mass.
 Proposers, columns and edges are those of the round's augmented graph
-(``engine._pad_round``, laid out by ``transform.add_dummy_edges``), which
-carries one dummy per B vertex in every round; round 2 of two-round
-``apx`` reuses round 1's.
+(``engine._compile_round``, laid out by ``transform.add_dummy_edges``),
+which carries one dummy per B vertex in every round and gives a law round
+its law; round 2 of two-round ``apx`` reuses round 1's graph and law.
 
 Greedy keeps its state edge-major.  A chunk's coins are drawn trial-major,
 ``rng.random((n, m))``, which fixes the random stream; they are compared
@@ -53,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ApxPlan, DistributionCache, _compile_round, _pad_round, _vertex_outcomes, apx_plan
+from .engine import DistributionCache, _compile_round, _Round, _vertex_outcomes, apx_plan
 from .instance import StochasticGraph, check_x_length
-from .transform import TransformParams, g_transform
+from .transform import TransformParams, dummy_mass, g_transform
 
 CHUNK_SIZE = 1 << 16
 
@@ -69,13 +69,12 @@ class BatchResult:
     branch: str | None = None
 
 
-def _compile_arrays(graph: StochasticGraph, x, sigma, edge_ids, cache: DistributionCache):
+def _compile_arrays(rnd: _Round):
     """A proposal round as each augmented A vertex's walk-outcome law:
     cumulative masses, the proposed augmented edge (-1 for none), the
     vertex's incident edge ids and an outcomes x incident examined matrix.
     Returns (slot table over the proposable edges, augmented graph, laws);
     the table's proposers are the laws' vertices in order."""
-    rnd = _compile_round(graph, x, sigma, edge_ids, cache)
     laws = []
     for v in sorted(rnd.dists):
         outcomes = _vertex_outcomes(rnd, v)
@@ -215,18 +214,18 @@ class _ApxContext:
     walk-outcome laws, because the edges left available depend on the
     examined sets, and round 2 as a draw from per-edge proposal laws."""
 
-    def __init__(self, graph: StochasticGraph, x, plan: ApxPlan):
-        self.graph = graph
-        self.round1 = _compile_arrays(graph, x, plan.sigma, plan.edge_ids, DistributionCache(graph, x))
-        _, aug, _ = self.round1
-        self.x = np.asarray(x, dtype=float)
-        self.law = g_transform(self.x, 1.0)
+    def __init__(self, rnd: _Round):
+        self.graph = graph = rnd.cache.graph
+        self.round1 = _compile_arrays(rnd)
+        self.x = np.array(rnd.cache.x)
+        # round 1 runs on every edge at cap 1, so its law is round 2's
+        self.law = rnd.law[:len(graph.edges)]
         # round 2's live columns: edges that can carry mass, and every dummy
-        self.round2 = _Proposers(aug, np.append(self.law > 0.0, np.ones(graph.b_count, dtype=bool)))
+        self.round2 = _Proposers(rnd.aug, np.append(self.law > 0.0, np.ones(graph.b_count, dtype=bool)))
         self.edge_a = np.array([e.a for e in graph.edges], dtype=np.int64)
         # indexed by a round-1 winner (-1 is the last entry): its A vertex,
         # or a_count for a dummy edge and for nobody
-        self.win_a = np.minimum(np.append([e.a for e in aug.edges], graph.a_count), graph.a_count)
+        self.win_a = np.minimum(np.append([e.a for e in rnd.aug.edges], graph.a_count), graph.a_count)
         self.edge_b_orig = np.array([e.b for e in graph.edges], dtype=np.int64)
         self.at_b = np.eye(graph.b_count)[self.edge_b_orig]
 
@@ -236,10 +235,10 @@ class _ApxContext:
         vertex's dummy with g(1 - available x-degree, 1).  Returns per-trial
         weights and per-edge match counts."""
         n, m = avail.shape
-        gap = np.clip(1.0 - (avail * self.x) @ self.at_b, 0.0, 1.0)
+        dummy = dummy_mass((avail * self.x) @ self.at_b, 1.0)
         # per augmented edge: x masked to the trial's available edges, then
-        # each dummy's gap
-        law = np.concatenate((_transposed(avail) * self.law[:, None], _transposed(g_transform(gap, 1.0))))
+        # each dummy's mass
+        law = np.concatenate((_transposed(avail) * self.law[:, None], _transposed(g_transform(dummy, 1.0))))
         weights, win = _propose(self.round2, law[self.round2.edge], n, rng)
         return weights, _count_matches(win, m)
 
@@ -321,22 +320,22 @@ def run_batch(
     elif algorithm in ("simple", "alg1", "apx"):
         if x is None:
             raise ValueError(f"{algorithm} requires an LP solution")
+        cache = DistributionCache(graph, x)
         if algorithm == "apx":
-            plan = apx_plan(graph, x, params)
+            plan = apx_plan(graph, cache.x, params)
             branch, sigma, edge_ids = plan.branch, plan.sigma, plan.edge_ids
         else:
             sigma = None if algorithm == "simple" else params.sigma
             edge_ids = range(n_orig)
+        rnd = _compile_round(cache, sigma, edge_ids)
         if branch == "two-round":
-            ctx = _ApxContext(graph, x, plan)
+            ctx = _ApxContext(rnd)
 
             def body(n, rng):
                 return _two_round_chunk(ctx, n, rng, n_orig)
         else:
-            aug, x_aug, xt_aug = _pad_round(graph, x, sigma, edge_ids)
-            xt = np.where(np.array(x_aug) > 1e-15, xt_aug, 0.0)
-            props = _Proposers(aug, xt > 0.0)
-            law = xt[props.edge, None]
+            props = _Proposers(rnd.aug, rnd.law > 0.0)
+            law = rnd.law[props.edge, None]
 
             def body(n, rng):
                 weights, win = _propose(props, law, n, rng)

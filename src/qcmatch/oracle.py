@@ -10,12 +10,13 @@ Two oracles live here:
   per-vertex events under one proposal round.  A vertex's walk is a finite
   branching process (base permutation choice, the three-way filter branch,
   the realization coin of each examined edge), independent across vertices;
-  its outcome law comes from ``engine._vertex_outcomes``, the same law from
-  which ``mcsim`` draws round 1 of two-round ``apx``.  The uniform A-order
-  only matters through which proposer is first at each B vertex; ranks of
-  disjoint proposer sets are independent under a uniform order, so given
-  everyone's proposal the first-proposer factor at a B vertex with m
-  proposers is 1/m, and the not-first factor (m-1)/m.
+  its outcome law comes from ``engine._vertex_outcomes`` on the round that
+  ``engine._compile_round`` compiles, the law from which ``mcsim`` draws
+  round 1 of two-round ``apx``.  The uniform A-order only matters through
+  which proposer is first at each B vertex; ranks of disjoint proposer
+  sets are independent under a uniform order, so given everyone's proposal
+  the first-proposer factor at a B vertex with m proposers is 1/m, and the
+  not-first factor (m-1)/m.
 
   Every reported quantity is the probability of one conjunction of atoms.
   Only the A vertices that a conjunction names (at most two in every
@@ -355,9 +356,8 @@ def exact_event_probabilities(
         ("a_unmatched", v) ("b_unmatched", u)
         ("proposed", v, u) ("not_proposed", v, u) ("beaten_proposal", v, u)
     """
-    cache = DistributionCache(graph, x)
     sigma = None if sigma is None else float(sigma)
-    rnd = _compile_round(graph, x, sigma, range(len(graph.edges)), cache)
+    rnd = _compile_round(DistributionCache(graph, x), sigma, range(len(graph.edges)))
     evaluator = _Evaluator(rnd)
     memo: dict[Conj, float] = {}
 

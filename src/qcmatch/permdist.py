@@ -33,6 +33,9 @@ from .lpmatch import EPS, _subset_worst
 #: (k + 2) * 2^(k - 1) outcomes
 DEGREE_CAP = 7
 
+#: a support, and a proposal round's law, holds only targets above this
+SUPPORT_FLOOR = 1e-15
+
 #: relative tolerance of the decomposition's zero and tight tests, and the
 #: largest marginal error its last step may leave
 _TOL = 1e-12
@@ -127,7 +130,7 @@ def build_proportional_distribution(
     """
     incident = graph.edges_at_a[vertex]
     targets = {e: float(x[e]) for e in incident}
-    support_edges = [e for e in incident if targets[e] > 1e-15]
+    support_edges = [e for e in incident if targets[e] > SUPPORT_FLOOR]
     if len(support_edges) > DEGREE_CAP:
         raise DegreeCapExceeded(
             f"A-vertex {vertex}: LP support {len(support_edges)} exceeds cap {DEGREE_CAP}"

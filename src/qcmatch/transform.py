@@ -77,6 +77,14 @@ def g_ratio(x, sigma: float):
     return val
 
 
+def dummy_mass(deg: np.ndarray, sigma: float) -> np.ndarray:
+    """Dummy mass of B vertices at fractional degrees ``deg`` under cap
+    ``sigma``: the gap ``sigma - min(deg, sigma)``, or exactly 0.0 where
+    that is at most 1e-12, so a tight vertex's dummy never proposes."""
+    gap = sigma - np.minimum(deg, sigma)
+    return np.where(gap > 1e-12, gap, 0.0)
+
+
 def add_dummy_edges(
     graph: StochasticGraph, x, sigma: float | None
 ) -> tuple[StochasticGraph, tuple[float, ...]]:
@@ -85,31 +93,26 @@ def add_dummy_edges(
     This is the one place that lays out the augmented graph of a proposal
     round: B vertex u gets a zero-weight, probability-one dummy edge with
     id ``m + u`` to a fresh degree-one A vertex ``a_count + u``.  The dummy
-    carries u's missing mass when that exceeds 1e-12 and exactly 0.0
-    otherwise, so a tight vertex's dummy never proposes; ``sigma=None``
-    (plain proposal rounding) gives every dummy mass 0.  Original edge ids
-    are unchanged.  Raises if some B vertex already exceeds ``sigma``
-    beyond tolerance.
+    carries ``dummy_mass``, so a tight vertex's dummy never proposes;
+    ``sigma=None`` (plain proposal rounding) gives every dummy mass 0.
+    Original edge ids are unchanged.  Raises if some B vertex already
+    exceeds ``sigma`` beyond tolerance.
     """
     check_x_length(graph, x)
     x = [float(v) for v in x]
     m, n_a = len(graph.edges), graph.a_count
-    new_x = list(x)
-    for u in range(graph.b_count):
-        gap = 0.0
-        if sigma is not None:
-            deg = sum(x[e] for e in graph.edges_at_b[u])
-            if deg > sigma + DEGREE_EPS:
-                raise ValueError(
-                    f"B vertex {u} has fractional degree {deg} > sigma={sigma}"
-                )
-            gap = sigma - min(deg, sigma)
-        new_x.append(gap if gap > 1e-12 else 0.0)
+    mass = [0.0] * graph.b_count
+    if sigma is not None:
+        deg = [sum(x[e] for e in graph.edges_at_b[u]) for u in range(graph.b_count)]
+        for u, d in enumerate(deg):
+            if d > sigma + DEGREE_EPS:
+                raise ValueError(f"B vertex {u} has fractional degree {d} > sigma={sigma}")
+        mass = dummy_mass(np.array(deg), sigma).tolist()
     dummies = tuple(
         Edge(id=m + u, a=n_a + u, b=u, w=0.0, p=1.0, is_dummy=True) for u in range(graph.b_count)
     )
     aug = StochasticGraph(a_count=n_a + graph.b_count, b_count=graph.b_count, edges=graph.edges + dummies)
-    return aug, tuple(new_x)
+    return aug, tuple(x + mass)
 
 
 # ---------------------------------------------------------------------------

@@ -155,3 +155,70 @@ def test_oracle_reports_expected_opt_up_to_20_edges(tmp_path, m):
         assert data["expected_opt"] == pytest.approx(0.5 * m, abs=1e-9)
     else:
         assert "expected_opt" not in data
+
+
+def _solution_inputs(tmp_path):
+    """A 2x2 complete instance and malformed solution files for it, each
+    with the message that must name its fault."""
+    inst = tmp_path / "g.json"
+    run_cli("gen", "--model", "complete", "--na", "2", "--nb", "2", "--seed", "1",
+            "--out", str(inst))
+    bad = {
+        "short.json": ({"objective": 1.0, "x": [0.5, 0.5]}, "x has 2 entries but the graph has 4 edges"),
+        "no_x.json": ({"objective": 1.0}, "missing key 'x'"),
+        "array.json": ([0.1, 0.2, 0.3, 0.4], "expected a JSON object, got list"),
+        "text_x.json": ({"objective": 1.0, "x": [0.1, "a", 0.1, 0.1]}, "x[1] must hold a float"),
+    }
+    files = []
+    for name, (payload, msg) in bad.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+        files.append((str(tmp_path / name), msg))
+    return str(inst), files
+
+
+def test_malformed_solutions_are_usage_errors(tmp_path, capsys):
+    inst, files = _solution_inputs(tmp_path)
+    out = str(tmp_path / "out.json")
+    for path, msg in files:
+        for argv in (
+            ("run", "--alg", "alg1", "--instance", inst, "--solution", path,
+             "--trials", "10", "--seed", "0", "--out", out),
+            ("oracle", "--instance", inst, "--solution", path, "--out", out),
+            ("verify", "--dist-instance", inst, "--dist-solution", path, "--dist-vertex", "0"),
+            ("verify", "--dist-instance", inst, "--dist-solution", path, "--dist-vertex", "1"),
+        ):
+            assert run_cli(*argv) == 2, (argv, path)
+            err = capsys.readouterr().err
+            assert path in err and msg in err, err
+
+
+def test_malformed_report_inputs_are_usage_errors(tmp_path, capsys):
+    sol = tmp_path / "s.json"
+    sol.write_text(json.dumps({"objective": 2.0, "x": [1.0]}))
+    run = {"algorithm": "alg1", "mean_weight": 1.5, "stderr": 0.01, "branch": None}
+    cases = [
+        ("no_mean.json", {k: v for k, v in run.items() if k != "mean_weight"}, "missing key 'mean_weight'"),
+        ("no_stderr.json", {k: v for k, v in run.items() if k != "stderr"}, "missing key 'stderr'"),
+        ("text_mean.json", {**run, "mean_weight": "1.5"}, "key 'mean_weight' must hold a float"),
+        ("array.json", [run], "expected a JSON object, got list"),
+    ]
+    out = str(tmp_path / "rep.json")
+    for name, payload, msg in cases:
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        assert run_cli("report", "--solution", str(sol), "--run", str(path), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and msg in err, err
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(run))
+    no_objective = tmp_path / "no_objective.json"
+    no_objective.write_text(json.dumps({"x": [1.0]}))
+    assert run_cli("report", "--solution", str(no_objective), "--run", str(ok), "--out", out) == 2
+    assert "missing key 'objective'" in capsys.readouterr().err
+    oracle_list = tmp_path / "oracle.json"
+    oracle_list.write_text("[]")
+    assert run_cli("report", "--solution", str(sol), "--run", str(ok), "--oracle", str(oracle_list),
+                   "--out", out) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+    assert run_cli("report", "--solution", str(sol), "--run", str(ok), "--out", out) == 0
+    assert json.loads((tmp_path / "rep.json").read_text())["rows"][0]["ratio_vs_lp"] == 0.75

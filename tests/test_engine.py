@@ -62,15 +62,16 @@ def test_greedy_path_expected_weight():
 def test_simple_empty_graph():
     g = make_graph(1, 1, [])
     st = RealizationState(np.random.default_rng(0))
-    run = proposal_round(g, [], None, st, np.random.default_rng(1))
+    run = proposal_round(DistributionCache(g, []), None, st, np.random.default_rng(1))
     assert run.matching == frozenset() and run.weight == 0.0
 
 
 def test_simple_sure_edge_always_matches():
     g = make_graph(1, 1, [(0, 0, 1.0, 1.0)])
+    cache = DistributionCache(g, [1.0])
     for t in range(20):
         rng = rng_for_trial(3, t)
-        run = proposal_round(g, [1.0], None, RealizationState(rng), rng)
+        run = proposal_round(cache, None, RealizationState(rng), rng)
         assert run.matching == {0}
         validate_run_result(g, run)
 
@@ -84,7 +85,7 @@ def test_simple_two_proposers_probability():
     n = 20000
     for t in range(n):
         rng = rng_for_trial(4, t)
-        run = proposal_round(g, [0.5, 0.5], None, RealizationState(rng), rng, cache)
+        run = proposal_round(cache, None, RealizationState(rng), rng)
         hits += bool(run.matching)
     assert abs(hits / n - 0.75) <= 0.015
 
@@ -99,7 +100,7 @@ def test_base_matching_rejects_overfull_vertex():
     g = make_graph(2, 1, [(0, 0, 1.0, 1.0), (1, 0, 1.0, 1.0)])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="fractional degree"):
-        proposal_round(g, [0.7, 0.7], 1.0, RealizationState(rng), rng)
+        proposal_round(DistributionCache(g, [0.7, 0.7]), 1.0, RealizationState(rng), rng)
 
 
 def test_available_edges_examples():
@@ -144,10 +145,11 @@ def test_available_edges_examples():
 
     # whenever a run matches the sure edge, nothing stays available
     g1 = make_graph(1, 1, [(0, 0, 1.0, 1.0)])
+    cache = DistributionCache(g1, [1.0])
     matched_runs = 0
     for t in range(20):
         rng = rng_for_trial(2, t)
-        run1 = proposal_round(g1, [1.0], 1.0, RealizationState(rng), rng)
+        run1 = proposal_round(cache, 1.0, RealizationState(rng), rng)
         if run1.matching:
             matched_runs += 1
             assert available_edges(g1, run1) == frozenset()
@@ -166,9 +168,9 @@ def test_query_commit_soundness_random_sweep():
             st = RealizationState(trial)
             for run in (
                 greedy_matching(g, RealizationState(rng_for_trial(1, t))),
-                proposal_round(g, sol.x, None, RealizationState(rng_for_trial(2, t)), rng_for_trial(3, t), cache),
-                proposal_round(g, sol.x, 1.0, st, trial, cache),
-                apx_matching(g, sol.x, params, RealizationState(rng_for_trial(4, t)), rng_for_trial(5, t), cache),
+                proposal_round(cache, None, RealizationState(rng_for_trial(2, t)), rng_for_trial(3, t)),
+                proposal_round(cache, 1.0, st, trial),
+                apx_matching(cache, params, RealizationState(rng_for_trial(4, t)), rng_for_trial(5, t)),
             ):
                 validate_run_result(g, run)
 
@@ -180,7 +182,7 @@ def test_coinflip_only_with_matched_endpoint():
         g = random_instance(rng, p_lo=0.5)
         x = random_feasible_x(g, rng)
         trial = rng_for_trial(int(rng.integers(1 << 30)), 0)
-        run = proposal_round(g, x, 1.0, RealizationState(trial), trial)
+        run = proposal_round(DistributionCache(g, x), 1.0, RealizationState(trial), trial)
         validate_run_result(g, run)
         seen_coinflip = seen_coinflip or any(
             s in (COINFLIP_REALIZED, COINFLIP_NOT_REALIZED) for s in run.edge_log
@@ -194,7 +196,7 @@ def test_apx_branch_selection():
     light, omega, mass = classify_light(g, [1.0], 0.8723)
     assert light == [0] and omega == mass
     rng = np.random.default_rng(0)
-    run = apx_matching(g, [1.0], TransformParams(), RealizationState(rng), rng)
+    run = apx_matching(DistributionCache(g, [1.0]), TransformParams(), RealizationState(rng), rng)
     assert run.branch == "two-round"
 
     # disjoint matching with tiny p: x = p, ratio ~ 0.96 > tau -> heavy prune
@@ -204,7 +206,7 @@ def test_apx_branch_selection():
     ratio = float(g_transform(0.1, 1.0)) / 0.1
     assert ratio > 0.8723
     rng = np.random.default_rng(1)
-    run2 = apx_matching(g2, sol.x, TransformParams(), RealizationState(rng), rng)
+    run2 = apx_matching(DistributionCache(g2, sol.x), TransformParams(), RealizationState(rng), rng)
     assert run2.branch == "heavy-prune"
     assert 0.1 <= heavy_degree_bound(0.8723)
 
@@ -241,7 +243,7 @@ def test_apx_round_disjointness_and_rounds():
         cache = DistributionCache(g, sol.x)
         for t in range(5):
             trial = rng_for_trial(int(rng.integers(1 << 30)), t)
-            run = apx_matching(g, sol.x, params, RealizationState(trial), trial, cache)
+            run = apx_matching(cache, params, RealizationState(trial), trial)
             validate_run_result(g, run)
             if run.branch == "two-round":
                 r1 = {e for e, r in run.rounds.items() if r == 1}
@@ -315,7 +317,7 @@ def test_heavy_degree_refusal_is_shared():
     assert heavy_degree_bound(params.tau) < 0.54
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="not an LP optimum"):
-        apx_matching(g, x, params, RealizationState(rng), rng)
+        apx_matching(DistributionCache(g, x), params, RealizationState(rng), rng)
     with pytest.raises(ValueError, match="not an LP optimum"):
         mcsim.run_batch(g, x, "apx", params, 100, 0)
 
@@ -328,7 +330,7 @@ def test_compile_round_masks_x_to_its_edges(sigma):
         x = random_feasible_x(g, rng, sigma=sigma or 1.0)
         m = len(g.edges)
         subset = [e for e in range(m) if rng.random() < 0.6]
-        rnd = _compile_round(g, x, sigma, subset, DistributionCache(g, x))
+        rnd = _compile_round(DistributionCache(g, x), sigma, subset)
         assert rnd.aug.edges[:m] == g.edges
         assert all(e.is_dummy for e in rnd.aug.edges[m:])
         for e in range(m):
@@ -355,7 +357,8 @@ def test_every_round_pads_on_one_augmented_graph():
         for edge_ids in ([1, 3, 4, 5], range(m)):
             if sigma == 0.53 and len(edge_ids) == m:
                 continue  # B vertex 0 has degree 1 over every edge
-            aug, x_aug, xt_aug = engine._pad_round(g, x, sigma, edge_ids)
+            rnd = _compile_round(DistributionCache(g, x), sigma, edge_ids)
+            aug, x_aug, xt_aug = rnd.aug, rnd.x_aug, rnd.xt_aug
             assert aug.edges[:m] == g.edges
             assert [(e.id, e.a, e.b) for e in aug.edges[m:]] == dummies
             assert all(e.is_dummy for e in aug.edges[m:])
@@ -364,20 +367,17 @@ def test_every_round_pads_on_one_augmented_graph():
             augs.append(aug)
     assert all(aug == augs[0] for aug in augs)
     assert aug.a_count == g.a_count + g.b_count
-    _, x_aug, _ = engine._pad_round(g, x, 1.0, range(m))
+    x_aug = _compile_round(DistributionCache(g, x), 1.0, range(m)).x_aug
     assert x_aug[m:] == (0.0, pytest.approx(0.5), pytest.approx(0.2))
 
 
 @pytest.mark.parametrize("x", [[0.3, 0.4, 0.2], [0.3]])
 def test_engine_rejects_x_of_wrong_length(x):
+    # every engine round, at any cap and in apx, reads (graph, x) from the
+    # cache, which refuses the pair
     g = make_graph(2, 2, [(0, 0, 1.0, 0.5), (1, 1, 1.0, 0.5)])
-    rng = np.random.default_rng(0)
-    msg = f"x has {len(x)} entries but the graph has 2 edges"
-    for sigma in (None, 1.0):
-        with pytest.raises(ValueError, match=msg):
-            proposal_round(g, x, sigma, RealizationState(rng), rng)
-    with pytest.raises(ValueError, match=msg):
-        apx_matching(g, x, TransformParams(), RealizationState(rng), rng)
+    with pytest.raises(ValueError, match=f"x has {len(x)} entries but the graph has 2 edges"):
+        DistributionCache(g, x)
 
 
 def test_rounds_compile_once_per_cap_and_edge_set(monkeypatch):
@@ -396,8 +396,8 @@ def test_rounds_compile_once_per_cap_and_edge_set(monkeypatch):
     cache = DistributionCache(g, sol.x)
     for t in range(200):
         rng = rng_for_trial(5, t)
-        proposal_round(g, sol.x, params.sigma, RealizationState(rng), rng, cache)
+        proposal_round(cache, params.sigma, RealizationState(rng), rng)
         rng = rng_for_trial(6, t)
-        run = apx_matching(g, sol.x, params, RealizationState(rng), rng, cache)
+        run = apx_matching(cache, params, RealizationState(rng), rng)
         assert run.branch == "two-round"
     assert 2 <= len(calls) <= 16

@@ -12,6 +12,7 @@ from qcmatch.engine import (
 )
 from qcmatch.instance import RealizationState, generate_instance, make_graph
 from qcmatch.lpmatch import solve_lp_match
+from qcmatch.permdist import DegreeCapExceeded
 from qcmatch.transform import TransformParams, add_dummy_edges, g_transform
 from util import (
     accept_min_priority,
@@ -26,20 +27,20 @@ from util import (
 )
 
 
-def engine_run(graph, x, algorithm, params, rng, cache):
-    """One per-trial engine run of ``algorithm``, its coins drawn from
-    ``rng``."""
+def engine_run(graph, algorithm, params, rng, cache):
+    """One per-trial engine run of ``algorithm`` on ``graph`` (and the LP
+    solution in ``cache``), its coins drawn from ``rng``."""
     st = RealizationState(rng)
     if algorithm == "greedy":
         return greedy_matching(graph, st)
     if algorithm == "apx":
-        return apx_matching(graph, x, params, st, rng, cache)
-    return proposal_round(graph, x, None if algorithm == "simple" else params.sigma, st, rng, cache)
+        return apx_matching(cache, params, st, rng)
+    return proposal_round(cache, None if algorithm == "simple" else params.sigma, st, rng)
 
 
 def reference_mean(graph, x, algorithm, params, trials, seed):
     cache = DistributionCache(graph, x) if x is not None else None
-    return sum(engine_run(graph, x, algorithm, params, rng_for_trial(seed, t), cache).weight
+    return sum(engine_run(graph, algorithm, params, rng_for_trial(seed, t), cache).weight
                for t in range(trials)) / trials
 
 
@@ -190,10 +191,10 @@ def test_outcome_round_kernel_agrees_with_replay_trial_by_trial(n):
         g = _greedy_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 16)))
         x = solve_lp_match(g).x
         sigma = TransformParams().sigma
-        comp = mcsim._compile_arrays(g, x, sigma, range(len(g.edges)), DistributionCache(g, x))
+        comp = mcsim._compile_arrays(engine._compile_round(DistributionCache(g, x), sigma, range(len(g.edges))))
         weights, win, exam = mcsim._run_proposal_chunk(comp, n, np.random.default_rng(k))
         _, aug, laws = comp
-        assert aug == engine._pad_round(g, x, sigma, range(len(g.edges)))[0]
+        assert aug == add_dummy_edges(g, x, sigma)[0]
         draws = np.random.default_rng(k)
         r = [draws.random(n) for _ in laws]
         props, examined = outcome_round_proposals(laws, r)
@@ -205,8 +206,8 @@ def test_outcome_round_kernel_agrees_with_replay_trial_by_trial(n):
 def test_simple_slot_table_has_no_dummy_columns():
     g = _mixed_3x3()
     x = solve_lp_match(g).x
-    aug, x_aug, _ = engine._pad_round(g, x, None, range(len(g.edges)))
-    props = mcsim._Proposers(aug, np.array(x_aug) > 1e-15)
+    rnd = engine._compile_round(DistributionCache(g, x), None, range(len(g.edges)))
+    props = mcsim._Proposers(rnd.aug, rnd.law > 0.0)
     assert len(props.slots.owner) == sum(1 for v in x if v > 1e-15)
     assert props.slots.edge.max() < len(g.edges)
 
@@ -349,13 +350,13 @@ def test_apx_round2_edge_frequencies_agree_with_engine():
     avail_sets = set()
     for t in range(1000):
         rng = rng_for_trial(16, t)
-        run1 = proposal_round(g, sol.x, 1.0, RealizationState(rng), rng, cache)
+        run1 = proposal_round(cache, 1.0, RealizationState(rng), rng)
         avail_sets.add(available_edges(g, run1))
     assert len(avail_sets) >= 20
     hits_ref = np.zeros(len(g.edges))
     for t in range(ref_trials):
         rng = rng_for_trial(17, t)
-        run = apx_matching(g, sol.x, params, RealizationState(rng), rng, cache)
+        run = apx_matching(cache, params, RealizationState(rng), rng)
         assert run.branch == "two-round"
         hits_ref[list(run.matching)] += 1
     trials = 200000
@@ -405,6 +406,24 @@ def test_law_rounds_beyond_the_permutation_cap_match_closed_form(algorithm, mode
     _assert_edges_match_closed_form(g, x, None if algorithm == "simple" else params.sigma, res)
 
 
+def test_law_round_compiles_past_the_degree_cap():
+    # A vertex 1 has LP support 8 (its ninth edge, x = 1e-16, is below the
+    # support floor): a law round needs no permutation distribution, so it
+    # compiles and runs, and only a walk refuses the vertex
+    g = make_graph(2, 9, [(0, 0, 1.0, 0.5)] + [(1, b, 1.0 + 0.1 * b, 0.5) for b in range(9)])
+    x = [0.3] + [0.1] * 8 + [1e-16]
+    m = len(g.edges)
+    rnd = engine._compile_round(DistributionCache(g, x), 1.0, range(m))
+    gaps = [1.0 - sum(x[e] for e in g.edges_at_b[u]) for u in range(g.b_count)]
+    want = [float(g_transform(v, 1.0)) if v > 1e-15 else 0.0 for v in x + gaps]
+    assert rnd.law.tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert rnd.law[m - 1] == 0.0 and rnd.law[m + 8] == float(g_transform(1.0 - 1e-16, 1.0))
+    res = mcsim.run_batch(g, x, "alg1", TransformParams(), 100000, 3)
+    _assert_edges_match_closed_form(g, x, 1.0, res)
+    with pytest.raises(DegreeCapExceeded, match="A-vertex 1: LP support 8 exceeds cap 7"):
+        rnd.dists
+
+
 def test_heavy_prune_matches_closed_form():
     g, x, plan = _hard_heavy_prune()
     res = mcsim.run_batch(g, x, "apx", TransformParams(), 400000, 43)
@@ -427,7 +446,7 @@ def test_law_round_edge_frequencies_agree_with_engine(algorithm):
     ref_trials = 20000
     hits_ref = np.zeros(len(g.edges))
     for t in range(ref_trials):
-        run = engine_run(g, x, algorithm, params, rng_for_trial(23, t), cache)
+        run = engine_run(g, algorithm, params, rng_for_trial(23, t), cache)
         if algorithm == "apx":
             assert run.branch == "heavy-prune"
         hits_ref[list(run.matching)] += 1
@@ -465,11 +484,11 @@ def test_round1_draw_at_the_support_cap_agrees_with_engine():
     examined_ref = np.zeros(m)
     for t in range(ref_trials):
         rng = rng_for_trial(31, t)
-        run = proposal_round(g, x, plan.sigma, RealizationState(rng), rng, cache, plan.edge_ids)
+        run = proposal_round(cache, plan.sigma, RealizationState(rng), rng, plan.edge_ids)
         matched_ref[list(run.matching)] += 1
         examined_ref += np.array(run.edge_log) != engine.UNEXAMINED
     trials = 200000
-    comp = mcsim._compile_arrays(g, x, plan.sigma, plan.edge_ids, cache)
+    comp = mcsim._compile_arrays(cache.round_for(plan.sigma, plan.edge_ids))
     _, win, exam = mcsim._run_proposal_chunk(comp, trials, np.random.default_rng(37))
     for hits_ref, hits in (
         (matched_ref, mcsim._count_matches(win, m)),

@@ -113,7 +113,7 @@ def test_vertex_outcome_masses_conserved():
     for _ in range(10):
         g = random_instance(rng)
         x = random_feasible_x(g, rng, sigma=1.0)
-        rnd = _compile_round(g, x, 1.0, range(len(g.edges)), DistributionCache(g, x))
+        rnd = _compile_round(DistributionCache(g, x), 1.0, range(len(g.edges)))
         for v in range(rnd.aug.a_count):
             total = sum(q for _, _, q in _vertex_outcomes(rnd, v))
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -299,7 +299,7 @@ def test_count_law_matches_enumeration():
     for _ in range(6):
         g = random_instance(rng, max_a=4, max_b=3, max_edges=7)
         x = random_feasible_x(g, rng, sigma=1.0)
-        rnd = _compile_round(g, x, 1.0, range(len(g.edges)), DistributionCache(g, x))
+        rnd = _compile_round(DistributionCache(g, x), 1.0, range(len(g.edges)))
         ev = oracle._Evaluator(rnd)
         na, nb = ev.pi.shape
         cases = [((), (), (u,)) for u in range(nb)]

@@ -8,6 +8,7 @@ from qcmatch.lpmatch import check_feasibility
 from qcmatch.transform import (
     TransformParams,
     add_dummy_edges,
+    dummy_mass,
     fixed_point_gap,
     g_ratio,
     g_transform,
@@ -74,6 +75,23 @@ def test_add_dummy_edges():
 
     with pytest.raises(ValueError, match="fractional degree"):
         add_dummy_edges(g, [0.8], 0.5)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-12, 2e-12])
+def test_dummy_mass_is_the_padding_rule(gap):
+    # B vertex 0 sits about ``gap`` below the cap and B vertex 1 has no
+    # edge; add_dummy_edges pads with dummy_mass, which round 2 of
+    # two-round apx also calls on a (trials, B vertices) array
+    g = make_graph(1, 2, [(0, 0, 1.0, 1.0)])
+    x = [1.0 - gap]
+    _, x_aug = add_dummy_edges(g, x, 1.0)
+    assert x_aug[2] == 1.0
+    assert dummy_mass(np.array([[x[0], 0.0]] * 3), 1.0).tolist() == [list(x_aug[1:])] * 3
+    # 1 - (1 - 1e-12) rounds to 0.99998e-12, so a gap of 1e-12 gets no mass
+    assert (x_aug[1] == 0.0) == (gap <= 1e-12)
+    # a vertex with no edge at cap ``gap`` is exactly ``gap`` below it
+    _, x_aug = add_dummy_edges(make_graph(0, 1, []), [], gap)
+    assert x_aug == (gap if gap > 1e-12 else 0.0,)
 
 
 def test_augmented_x_stays_feasible():

@@ -167,10 +167,10 @@ def two_proportion_z(hits_ref, n_ref: int, hits, n: int) -> np.ndarray:
 def shrunk_vector(graph: StochasticGraph, x, sigma: float | None):
     """(augmented graph, augmented x, augmented shrunk values) exactly as
     the base rounding computes them; ``sigma=None`` is plain proposal
-    rounding (no dummies, shrunk values equal to x)."""
-    if sigma is None:
-        return graph, tuple(x), tuple(float(v) for v in x)
+    rounding (mass-0 dummies, shrunk values equal to x)."""
     aug, x_aug = add_dummy_edges(graph, x, sigma)
+    if sigma is None:
+        return aug, x_aug, x_aug
     xt = tuple(float(g_transform(v, sigma)) for v in x_aug)
     return aug, x_aug, xt
 
@@ -281,7 +281,7 @@ def brute_probability(graph: StochasticGraph, x, sigma: float | None, conj) -> f
 def _brute_worlds(graph: StochasticGraph, x: tuple, sigma: float | None):
     """(augmented graph, [(probability, B target per A vertex or -1,
     examined edge set, accepted proposer per B vertex)])."""
-    rnd = _compile_round(graph, x, sigma, range(len(graph.edges)), DistributionCache(graph, x))
+    rnd = _compile_round(DistributionCache(graph, x), sigma, range(len(graph.edges)))
     aug = rnd.aug
     outcomes = [_vertex_outcomes(rnd, v) for v in range(aug.a_count)]
     worlds = []
